@@ -29,6 +29,7 @@ from .errors import (
     NumericalOverflow,
 )
 from .geometry import (
+    _COMPOSITION_SUM_TOL,
     GeometryContext,
     closure,
     exp_map,
@@ -47,8 +48,6 @@ from .stats import (
     pca,
 )
 
-_COMPOSITION_SUM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -56,14 +55,12 @@ class Dataset:
 
     rows: np.ndarray
     columns: tuple[str, ...] | None = None
-    labels: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated per-invocation configuration shared by all commands."""
 
-    param: np.ndarray
     ctx: GeometryContext
     input: str | None
     output: str | None
@@ -115,7 +112,7 @@ def _emit_rows(cfg: "RunConfig", arr: np.ndarray) -> None:
 
 def _read_rows(path: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise IngestError(f"input file not found: {path}") from None
     lines = [ln.strip() for ln in text.splitlines()]
@@ -303,8 +300,12 @@ def _cmd_pca(cfg: RunConfig, args) -> None:
 def _cmd_sub(cfg: RunConfig, args) -> None:
     if not args.indices:
         raise IngestError("sub requires --indices")
+    try:
+        indices = tuple(int(i) for i in args.indices.split(","))
+    except ValueError:
+        raise IngestError(f"could not parse --indices: {args.indices!r}") from None
     ds = _ingest_compositions(cfg)
-    sel = SubSelection(tuple(int(i) for i in args.indices.split(",")))
+    sel = SubSelection(indices)
     sub_ctx, sub_rows = subcompose(cfg.ctx, sel, ds.rows)
     if cfg.format == "json":
         _emit(json.dumps(_jsonify({"param": sub_ctx.a, "rows": np.atleast_2d(sub_rows)})) + "\n", cfg.output)
@@ -412,7 +413,6 @@ def _build_config(args) -> RunConfig:
     if fmt is None:
         fmt = "json" if args.command == "pca" else "csv"
     return RunConfig(
-        param=vec,
         ctx=ctx,
         input=args.input,
         output=args.output,

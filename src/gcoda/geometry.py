@@ -74,6 +74,10 @@ _PROP_RTOL = 1e-12
 # Above this log-magnitude the quadratic closed form would overflow in the
 # linear domain (S_N**2); fall back to the log-sum-exp Newton path.
 _QUAD_SAFE_LOG = 300.0
+# Largest accepted max(a) / min(a).  Beyond it the smallest weight is zero at
+# float64 precision next to the largest, and the closure solve no longer
+# reaches its residual target.
+_MAX_WEIGHT_RATIO = 1e16
 
 _COMPOSITION_SUM_TOL = 1e-9
 _TANGENT_SUM_TOL = 1e-10
@@ -139,7 +143,9 @@ def make_context(a, solver: SolverSettings | None = None) -> GeometryContext:
 
     Mixed-sign or zero components are rejected (such classes miss the simplex
     or cross it more than once); an all-negative vector generates the same
-    subgroup as its negation and is canonicalized to all-positive.
+    subgroup as its negation and is canonicalized to all-positive.  A vector
+    whose largest-to-smallest ratio exceeds 1e16 is rejected too: its
+    smallest component is zero at float64 precision.
     """
     arr = np.array(a, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -152,6 +158,8 @@ def make_context(a, solver: SolverSettings | None = None) -> GeometryContext:
         raise MixedSignParameter("weight vector must not mix signs")
     if (arr < 0).all():
         arr = -arr
+    if arr.max() / arr.min() > _MAX_WEIGHT_RATIO:
+        raise ZeroComponent(f"weight ratio max/min exceeds {_MAX_WEIGHT_RATIO:g}; the smallest weight is zero at float64 precision")
     if solver is None:
         solver = SolverSettings()
 
@@ -233,12 +241,12 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, settings: SolverSettings, fast_
 def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndarray:
     """Safeguarded Newton on g(t) = logsumexp(logx + a*t), vectorized over rows.
 
-    g is smooth, strictly increasing (g' in [min a, max a]) and convex, so a
-    bracket plus Newton-with-bisection-fallback cannot fail for valid input.
+    g is smooth, convex and increasing with slope g' in [min a, max a], so from
+    g0 = g(0) the root lies between -g0/min a and -g0/max a.  Newton steps that
+    leave this shrinking bracket fall back to bisection.  The solve converges
+    for every weight vector :func:`make_context` accepts (max a / min a at most
+    ``_MAX_WEIGHT_RATIO``) and every finite ``logx``.
     """
-    m = logx.shape[0]
-    abar = float(a.mean())
-
     def eval_g(t):
         w = logx + t[:, None] * a[None, :]
         wm = w.max(axis=1)
@@ -246,30 +254,18 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndar
         se = e.sum(axis=1)
         return wm + np.log(se), (e @ a) / se
 
-    g0, _ = eval_g(np.zeros(m))
-    t = -g0 / abar
+    g0, _ = eval_g(np.zeros(logx.shape[0]))
+    # Widen g0 by far more than its rounding error, so that a root on an end
+    # of the bracket (one part dominating the row) lies strictly inside it.
+    d = 1e-12 * (1.0 + np.abs(g0))
+    lo = np.minimum(-(g0 + d) / a.min(), -(g0 + d) / a.max())
+    hi = np.maximum(-(g0 - d) / a.min(), -(g0 - d) / a.max())
+    t = -g0 / float(a.mean())
     g, gp = eval_g(t)
+    lo = np.where(g <= 0, t, lo)
+    hi = np.where(g >= 0, t, hi)
 
-    # Bracket by doubling steps away from the initial guess.
-    lo = np.where(g <= 0, t, -np.inf)
-    hi = np.where(g >= 0, t, np.inf)
-    step = np.ones(m)
-    for _ in range(200):
-        need_hi = ~np.isfinite(hi)
-        need_lo = ~np.isfinite(lo)
-        if not (need_hi | need_lo).any():
-            break
-        probe = np.where(need_hi, lo + step, np.where(need_lo, hi - step, t))
-        gprobe, _ = eval_g(probe)
-        hi = np.where(need_hi & (gprobe >= 0), probe, hi)
-        lo = np.where(need_hi & (gprobe < 0), probe, lo)
-        lo = np.where(need_lo & (gprobe <= 0), probe, lo)
-        hi = np.where(need_lo & (gprobe > 0), probe, hi)
-        step *= 2.0
-    else:
-        raise NonConvergence("failed to bracket the closure exponent")
-
-    converged = np.abs(np.expm1(g)) <= st.f_tol
+    converged = np.abs(g) <= st.f_tol
     for _ in range(st.max_iter):
         if converged.all():
             break
@@ -285,7 +281,7 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndar
         hi = np.where(~converged & ~below, t, hi)
         # Residual target, or step stagnation at the float64 noise floor
         # (reachable only for inputs with huge log magnitudes).
-        converged |= np.abs(np.expm1(g)) <= st.f_tol
+        converged |= np.abs(g) <= st.f_tol
         converged |= dt <= st.t_tol * (1.0 + np.abs(t))
     if not converged.all():
         raise NonConvergence(f"{int((~converged).sum())} row(s) did not converge in {st.max_iter} iterations")
@@ -324,9 +320,11 @@ def neutral_to_param(lam) -> np.ndarray:
     """Weight vector whose geometry has ``lam`` as neutral element.
 
     Inverse problem of :func:`make_context`: the componentwise negative
-    logarithm of an interior simplex point is a valid all-positive weight
-    vector, and the geometry it generates has exactly that point as neutral
-    element.
+    logarithm of an interior simplex point is an all-positive weight vector,
+    and the geometry it generates has exactly that point as neutral element.
+    :func:`make_context` accepts it while ``log(min lam) / log(max lam)`` is
+    at most 1e16; that fails only when the largest part lies within about
+    ``1e-16 * |log(min lam)|`` of 1.
     """
     arr = as_composition(lam)
     return -np.log(arr)

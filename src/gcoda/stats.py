@@ -75,54 +75,18 @@ class PrincipalComponents:
     scores: np.ndarray
 
 
-def _jacobi_eigh(sym: np.ndarray, sweep_cap: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+def _eigh_descending(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix for reproducible PCA output.
 
-    Deterministic and dependency-free; plenty for the small matrices
-    produced by compositional datasets.  Returns (eigenvalues descending,
-    eigenvectors as columns) with each eigenvector's first significant entry
-    made positive so output is reproducible.
+    Returns (eigenvalues descending, eigenvectors as columns) with each
+    eigenvector's first significant entry made positive.
     """
-    A = np.array(sym, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    # Absolute target, with a floor at the float64 limit for large scales.
-    tol = max(1e-12, 32 * np.finfo(float).eps * max(np.linalg.norm(A), 1.0))
-    for _ in range(sweep_cap):
-        # sum the off-diagonal squares directly; subtracting the diagonal
-        # from the total Frobenius norm cancels away everything below
-        # sqrt(eps) * scale and reports convergence far too early
-        off_sq = float(np.sum((A - np.diag(np.diag(A))) ** 2))
-        if np.sqrt(off_sq) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) if tau != 0 else 1.0
-                t /= abs(tau) + np.sqrt(1.0 + tau * tau)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p, rot_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * rot_p - s * rot_q
-                A[:, q] = s * rot_p + c * rot_q
-                rot_p, rot_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rot_p - s * rot_q
-                A[q, :] = s * rot_p + c * rot_q
-                rot_p, rot_q = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * rot_p - s * rot_q
-                V[:, q] = s * rot_p + c * rot_q
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals, V = vals[order], V[:, order]
-    for j in range(n):
-        col = V[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))
-        if nz.size and col[nz[0]] < 0:
-            V[:, j] = -col
-    return vals, V
+    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    mag = np.abs(vecs)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    signs = np.where(vecs[first, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
+    return vals, vecs * signs
 
 
 def pca(ctx: GeometryContext, basis: TangentBasis, rows, k: int) -> PrincipalComponents:
@@ -138,7 +102,7 @@ def pca(ctx: GeometryContext, basis: TangentBasis, rows, k: int) -> PrincipalCom
     if not 1 <= k <= n_coords:
         raise DimensionMismatch(f"k must be in 1..{n_coords}")
     cov = sample_covariance(ctx, basis, arr)
-    vals, vecs = _jacobi_eigh(cov)
+    vals, vecs = _eigh_descending(cov)
     mean_log = log_map(ctx, arr).mean(axis=0)
     z = np.atleast_2d(coords(ctx, basis, arr))
     dev = z - mean_log @ basis.vectors.T

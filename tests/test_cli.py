@@ -59,6 +59,12 @@ def test_param_validation_exit_codes(capsys):
     assert run_cli(capsys, "param", "--param", "1,x,1")[0] == 1
 
 
+def test_param_weight_ratio_rejected(capsys):
+    code, out, err = run_cli(capsys, "param", "--param", "1e-150,1,1e150")
+    assert code == 1 and out == ""
+    assert err.startswith("gcoda: weight ratio") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # data commands
 
@@ -153,6 +159,13 @@ def test_sub_command(tmp_path, capsys):
     assert payload["param"] == [2.0, 1.0]
 
 
+def test_sub_bad_indices(tmp_path, capsys):
+    path = write(tmp_path, "c.csv", "0.2,0.3,0.5\n")
+    code, out, err = run_cli(capsys, "sub", "--param", "1,1,1", "--input", path, "--indices", "1,x")
+    assert code == 1 and out == ""
+    assert err == "gcoda: could not parse --indices: '1,x'\n"
+
+
 # ---------------------------------------------------------------------------
 # ingestion errors
 
@@ -188,6 +201,15 @@ def test_ingest_non_simplex_needs_close(tmp_path, capsys):
 def test_ingest_missing_file(capsys):
     code, _, err = run_cli(capsys, "log", "--param", "1,1,1", "--input", "/nonexistent/x.csv")
     assert code == 1 and "not found" in err
+
+
+def test_ingest_byte_order_mark(tmp_path, capsys):
+    path = write(tmp_path, "bom.csv", "\ufeff0.2,0.3,0.5\n0.25,0.25,0.5\n")
+    code, out, _ = run_cli(capsys, "log", "--param", "1,1,1", "--input", path)
+    assert code == 0 and len(out.splitlines()) == 2
+    path = write(tmp_path, "bomh.csv", "\ufeffsand,silt,clay\n0.2,0.3,0.5\n")
+    code, out, _ = run_cli(capsys, "plot", "--param", "1,1,1", "--input", path)
+    assert code == 0 and ">sand</text>" in out
 
 
 def test_ingest_header_row(tmp_path, capsys):

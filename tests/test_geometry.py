@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +68,13 @@ def test_short_parameter_rejected():
         g.make_context([2.0])
 
 
+def test_weight_ratio_above_bound_rejected():
+    with pytest.raises(g.ZeroComponent, match="ratio"):
+        g.make_context([1e-150, 1.0, 1e150])
+    with pytest.raises(g.ZeroComponent, match="ratio"):
+        g.make_context([1.0, 2e16])
+
+
 def test_context_invariants(ctx_gen):
     assert abs(ctx_gen.e_a.sum() - 1.0) <= 1e-12
     assert (ctx_gen.e_a > 0).all() and ctx_gen.s > 0
@@ -132,6 +141,31 @@ def test_closure_robust_to_extreme_magnitudes():
         out = g.closure(ctx, x)
         assert np.isfinite(out).all()
         assert abs(out.sum() - 1.0) <= 1e-12
+
+
+def test_closure_residual_across_weight_ratios_and_spreads():
+    # the last ratio, weights (1e-8, 1, 1e8), is exactly the accepted bound
+    rng = np.random.default_rng(72)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ratio in (1e2, 1e4, 1e8, 1e12, 1e16):
+            ctx = g.make_context([ratio**-0.5, 1.0, ratio**0.5])
+            for spread in (5, 50, 300, 700):
+                logx = rng.uniform(-spread, spread, size=(2000, 3))
+                t = g.solve_t(ctx, np.exp(logx))
+                w = logx + t[:, None] * ctx.a
+                wm = w.max(axis=1)
+                resid = wm + np.log(np.exp(w - wm[:, None]).sum(axis=1))
+                assert np.abs(resid).max() <= 1e-11, (ratio, spread)
+
+
+def test_newton_root_on_bracket_end():
+    # one part dominates, so g is linear with slope min(a) and the root
+    # sits on an end of the closed-form bracket
+    a = np.array([0.1, 1.0, 10.0])
+    logx = np.array([[13.69616873, -23.02132862, -45.90264761], [-300.0, -200.0, 13.7]])
+    t = _newton_logt(a, logx, SolverSettings(max_iter=12))
+    np.testing.assert_allclose(t, [-logx[0, 0] / 0.1, -logx[1, 2] / 10.0], rtol=1e-14)
 
 
 def test_quadratic_guard_falls_back_to_newton(ctx112):

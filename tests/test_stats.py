@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import gcoda as g
-from gcoda.stats import _jacobi_eigh
+from gcoda.stats import _eigh_descending
 from _oracles import normal_density, normalize, random_compositions, random_weights
 
 
@@ -101,7 +101,7 @@ def test_covariance_needs_two_rows(ctx112, basis3):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver
+# Symmetric eigensolver
 
 
 def test_jacobi_matches_lapack():
@@ -109,7 +109,7 @@ def test_jacobi_matches_lapack():
     for n in (2, 3, 6, 9):
         M = rng.normal(size=(n, n))
         S = M @ M.T + 0.1 * np.eye(n)
-        vals, vecs = _jacobi_eigh(S)
+        vals, vecs = _eigh_descending(S)
         ref = np.sort(np.linalg.eigvalsh(S))[::-1]
         assert np.abs(vals - ref).max() < 1e-10 * max(1.0, np.abs(ref).max())
         recon = vecs @ np.diag(vals) @ vecs.T
@@ -121,8 +121,8 @@ def test_jacobi_sign_convention_deterministic():
     rng = np.random.default_rng(56)
     S = rng.normal(size=(4, 4))
     S = S @ S.T
-    _, v1 = _jacobi_eigh(S)
-    _, v2 = _jacobi_eigh(S.copy())
+    _, v1 = _eigh_descending(S)
+    _, v2 = _eigh_descending(S.copy())
     np.testing.assert_array_equal(v1, v2)
     for j in range(4):
         col = v1[:, j]
@@ -184,6 +184,42 @@ def test_pca_first_direction_beats_random_unit_directions(ctx112, basis3):
         u /= np.linalg.norm(u)
         resid = float(((centered - np.outer(centered @ u, u)) ** 2).sum())
         assert best <= resid + 1e-12
+
+
+def _relative_eigen_residual(ctx, basis, rows, pc):
+    cov = g.sample_covariance(ctx, basis, rows)
+    vecs = (pc.directions @ basis.vectors.T).T
+    return np.linalg.norm(cov @ vecs - vecs * pc.variances) / np.linalg.norm(cov)
+
+
+def test_pca_satisfies_its_definition():
+    # checked against the definition of PCA only, with no eigensolver of its
+    # own: eigen-residual, orthonormal directions, and a leading direction
+    # that no random unit direction beats
+    rng = np.random.default_rng(65)
+    ctx, basis = g.make_context(random_weights(rng, 6)), g.helmert_basis(6)
+    rows = random_compositions(rng, 200, 6)
+    pc = g.pca(ctx, basis, rows, 5)
+    assert _relative_eigen_residual(ctx, basis, rows, pc) <= 1e-13
+    assert np.abs(pc.directions @ pc.directions.T - np.eye(5)).max() < 1e-12
+    assert np.all(np.diff(pc.variances) <= 0)
+    centered = g.log_map(ctx, rows) - g.log_map(ctx, pc.mean)
+    u = rng.normal(size=(10_000, 6))
+    u -= u.mean(axis=1, keepdims=True)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    spread = ((centered @ u.T) ** 2).sum(axis=0) / (len(rows) - 1)
+    assert spread.max() <= pc.variances[0] * (1 + 1e-12)
+
+
+def test_pca_eigen_residual_on_wide_compositions():
+    # 51 parts put the covariance entries near 4e-4; an eigensolver that
+    # stops on an absolute off-diagonal target leaves relative residuals of
+    # 1e-12 to 1e-10 at that scale
+    ctx, basis = g.make_context(np.ones(51)), g.helmert_basis(51)
+    for seed in (61, 62, 63):
+        rows = normalize(np.random.default_rng(seed).uniform(size=(3000, 51)))
+        pc = g.pca(ctx, basis, rows, 50)
+        assert _relative_eigen_residual(ctx, basis, rows, pc) <= 1e-13
 
 
 def test_pca_structure(ctx112, basis3):
