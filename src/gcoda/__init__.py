@@ -14,6 +14,7 @@ from .errors import (
     NotOnSimplex,
     NotPositiveDefinite,
     NumericalOverflow,
+    WeightOutOfRange,
     ZeroComponent,
 )
 from .geometry import (

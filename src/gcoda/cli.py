@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -72,11 +73,31 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Formatting
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".12g")
+# Cells parsed or formatted per block.  Blocks are sized by cells, not rows,
+# so that the per-block lists of Python strings and floats stay small for
+# wide tables (a 1000-column distance matrix) as well as narrow ones.
+_BLOCK_CELLS = 1 << 14
+
+
+def _rows_csv(arr: np.ndarray) -> str:
+    """Rows of ``arr`` as comma-separated ``%.12g`` text, one line each.
+
+    Each block of rows is formatted by a single ``%`` on a template repeated
+    once per row; ``"%.12g" % v`` is the same text as ``format(v, ".12g")``.
+    """
+    arr = np.atleast_2d(arr)
+    width = arr.shape[1]
+    row = ",".join(["%.12g"] * width)
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    blocks = (arr[i:i + step] for i in range(0, len(arr), step))
+    return "\n".join("\n".join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks) + "\n"
 
 
 def _jsonify(obj):
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        # Round every value to 12 significant digits in bulk: format, parse back.
+        text = _rows_csv(obj.reshape(-1, 1))
+        return np.array(text.split(), dtype=float).reshape(obj.shape).tolist()
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -84,13 +105,8 @@ def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (float, np.floating)):
-        return float(_fmt(obj))
+        return float("%.12g" % obj)
     return obj
-
-
-def _rows_csv(arr: np.ndarray) -> str:
-    arr = np.atleast_2d(arr)
-    return "\n".join(",".join(_fmt(v) for v in row) for row in arr) + "\n"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -110,42 +126,60 @@ def _emit_rows(cfg: "RunConfig", arr: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Ingestion
 
+def _parse_line(line: str) -> list[float] | None:
+    try:
+        return [float(c) for c in line.split(",")]
+    except ValueError:
+        return None
+
+
 def _read_rows(path: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """Parse a CSV table of floats, with an optional header row.
+
+    Blank lines are skipped; cells are read with Python's ``float()`` grammar.
+    Data rows are parsed in blocks of about ``_BLOCK_CELLS`` cells, each by
+    one numpy cast of its split cells.  Error messages name the file and,
+    for a non-numeric cell, the physical line it sits on.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise IngestError(f"input file not found: {path}") from None
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    lines = list(map(str.strip, text.splitlines()))
+    rows = list(filter(None, lines))
+    if not rows:
         raise IngestError(f"no data rows in {path}")
 
-    def parse(line: str) -> list[float] | None:
-        cells = [c.strip() for c in line.split(",")]
-        try:
-            return [float(c) for c in cells]
-        except ValueError:
-            return None
-
     columns: tuple[str, ...] | None = None
-    first = parse(lines[0])
-    if first is None:
-        columns = tuple(c.strip() for c in lines[0].split(","))
-        lines = lines[1:]
-        if not lines:
+    start = 0
+    if _parse_line(rows[0]) is None:
+        columns = tuple(c.strip() for c in rows[0].split(","))
+        start = 1
+        if len(rows) == 1:
             raise IngestError(f"no data rows in {path}")
-    rows = []
-    for i, ln in enumerate(lines, start=2 if columns else 1):
-        vals = parse(ln)
-        if vals is None:
-            raise IngestError(f"{path}:{i}: non-numeric cell")
-        rows.append(vals)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    width = rows[start].count(",") + 1
+    out = np.empty((len(rows) - start, width))
+    step = max(1, _BLOCK_CELLS // width)
+    ragged = False
+    for i in range(start, len(rows), step):
+        block = rows[i:i + step]
+        try:
+            vals = np.array(",".join(block).split(","), dtype=float)
+        except ValueError:
+            bad = i + next(j for j, ln in enumerate(block) if _parse_line(ln) is None)
+            # the physical line number of non-blank line `bad`
+            lineno = next(islice(compress(count(1), lines), bad, None))
+            raise IngestError(f"{path}:{lineno}: non-numeric cell") from None
+        # A ragged row is reported only once every row has parsed, so that a
+        # non-numeric cell further down is reported first.
+        ragged = ragged or set(map(str.count, block, repeat(","))) != {width - 1}
+        if not ragged:
+            out[i - start:i - start + len(block)] = vals.reshape(-1, width)
+    if ragged:
         raise IngestError(f"{path}: ragged rows (expected {width} columns)")
     if columns is not None and len(columns) != width:
         raise IngestError(f"{path}: header width does not match data width")
-    return np.array(rows, dtype=float), columns
+    return out, columns
 
 
 def _ingest_positive(path: str) -> Dataset:
@@ -234,11 +268,7 @@ def _cmd_param(cfg: RunConfig, args) -> None:
     if cfg.format == "json":
         _emit(json.dumps(_jsonify({"a": ctx.a, "e_a": ctx.e_a, "s": ctx.s})) + "\n", cfg.output)
     else:
-        text = (
-            f"a = {','.join(_fmt(v) for v in ctx.a)}\n"
-            f"e_a = {','.join(_fmt(v) for v in ctx.e_a)}\n"
-            f"s = {_fmt(ctx.s)}\n"
-        )
+        text = f"a = {_rows_csv(ctx.a)}e_a = {_rows_csv(ctx.e_a)}s = {ctx.s:.12g}\n"
         _emit(text, cfg.output)
 
 
@@ -326,7 +356,7 @@ def _cmd_density(cfg: RunConfig, args) -> None:
     if cfg.format == "json":
         _emit(json.dumps(_jsonify(dens)) + "\n", cfg.output)
     else:
-        _emit("\n".join(_fmt(v) for v in dens) + "\n", cfg.output)
+        _emit(_rows_csv(dens[:, None]), cfg.output)
 
 
 def _cmd_plot(cfg: RunConfig, args) -> None:

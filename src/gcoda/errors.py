@@ -29,6 +29,10 @@ class ZeroComponent(GcodaError, ValueError):
     """Weight vector contains a zero component."""
 
 
+class WeightOutOfRange(GcodaError, ValueError):
+    """Weight vector has a component too small or too large for float64 closure."""
+
+
 class NonConvergence(GcodaError, RuntimeError):
     """Scalar root solver exhausted its iteration budget."""
 

@@ -38,6 +38,7 @@ from .errors import (
     NotInTangentSpace,
     NotOnSimplex,
     NumericalOverflow,
+    WeightOutOfRange,
     ZeroComponent,
 )
 
@@ -78,6 +79,10 @@ _QUAD_SAFE_LOG = 300.0
 # float64 precision next to the largest, and the closure solve no longer
 # reaches its residual target.
 _MAX_WEIGHT_RATIO = 1e16
+# Accepted weight magnitudes.  The closure exponent t is about -g0 / a, with
+# |g0| <= 745 + log N for positive float64 data, and the solve forms products
+# t * a and sums of weights; inside these bounds none of them overflows.
+_MIN_WEIGHT, _MAX_WEIGHT = 1e-300, 1e300
 
 _COMPOSITION_SUM_TOL = 1e-9
 _TANGENT_SUM_TOL = 1e-10
@@ -145,7 +150,9 @@ def make_context(a, solver: SolverSettings | None = None) -> GeometryContext:
     or cross it more than once); an all-negative vector generates the same
     subgroup as its negation and is canonicalized to all-positive.  A vector
     whose largest-to-smallest ratio exceeds 1e16 is rejected too: its
-    smallest component is zero at float64 precision.
+    smallest component is zero at float64 precision.  So is a vector with a
+    component below 1e-300 or above 1e300 in magnitude, where the closure
+    solve would overflow float64.
     """
     arr = np.array(a, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -158,6 +165,10 @@ def make_context(a, solver: SolverSettings | None = None) -> GeometryContext:
         raise MixedSignParameter("weight vector must not mix signs")
     if (arr < 0).all():
         arr = -arr
+    if arr.min() < _MIN_WEIGHT or arr.max() > _MAX_WEIGHT:
+        raise WeightOutOfRange(
+            f"weight magnitudes must lie in [{_MIN_WEIGHT:g}, {_MAX_WEIGHT:g}], got {arr.min():g} to {arr.max():g}"
+        )
     if arr.max() / arr.min() > _MAX_WEIGHT_RATIO:
         raise ZeroComponent(f"weight ratio max/min exceeds {_MAX_WEIGHT_RATIO:g}; the smallest weight is zero at float64 precision")
     if solver is None:
@@ -168,7 +179,8 @@ def make_context(a, solver: SolverSettings | None = None) -> GeometryContext:
     e = _softmax_rows(np.outer([t1], arr))[0]
     s = float(arr @ e)
 
-    assert abs(e.sum() - 1.0) <= 1e-12 and s > 0
+    if not (abs(e.sum() - 1.0) <= 1e-12 and s > 0):
+        raise NonConvergence("the closure of (1, ..., 1) missed the simplex")
 
     arr.setflags(write=False)
     e.setflags(write=False)
@@ -245,7 +257,9 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndar
     g0 = g(0) the root lies between -g0/min a and -g0/max a.  Newton steps that
     leave this shrinking bracket fall back to bisection.  The solve converges
     for every weight vector :func:`make_context` accepts (max a / min a at most
-    ``_MAX_WEIGHT_RATIO``) and every finite ``logx``.
+    ``_MAX_WEIGHT_RATIO``, each weight in [``_MIN_WEIGHT``, ``_MAX_WEIGHT``])
+    and every ``logx`` of positive float64 data (|logx| <= 745).  Far larger
+    |logx| next to a weight near ``_MIN_WEIGHT`` would overflow t itself.
     """
     def eval_g(t):
         w = logx + t[:, None] * a[None, :]
@@ -254,12 +268,13 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndar
         se = e.sum(axis=1)
         return wm + np.log(se), (e @ a) / se
 
+    a_min, a_max = float(a.min()), float(a.max())
     g0, _ = eval_g(np.zeros(logx.shape[0]))
     # Widen g0 by far more than its rounding error, so that a root on an end
     # of the bracket (one part dominating the row) lies strictly inside it.
     d = 1e-12 * (1.0 + np.abs(g0))
-    lo = np.minimum(-(g0 + d) / a.min(), -(g0 + d) / a.max())
-    hi = np.maximum(-(g0 - d) / a.min(), -(g0 - d) / a.max())
+    lo = np.minimum(-(g0 + d) / a_min, -(g0 + d) / a_max)
+    hi = np.maximum(-(g0 - d) / a_min, -(g0 - d) / a_max)
     t = -g0 / float(a.mean())
     g, gp = eval_g(t)
     lo = np.where(g <= 0, t, lo)
@@ -280,9 +295,11 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndar
         lo = np.where(~converged & below, t, lo)
         hi = np.where(~converged & ~below, t, hi)
         # Residual target, or step stagnation at the float64 noise floor
-        # (reachable only for inputs with huge log magnitudes).
+        # (reachable only for inputs with huge log magnitudes).  The floor is
+        # relative to |t| plus 1 / max a, one unit of the exponents a * t, so
+        # that the test does not pass at once for large weights and tiny t.
         converged |= np.abs(g) <= st.f_tol
-        converged |= dt <= st.t_tol * (1.0 + np.abs(t))
+        converged |= dt <= st.t_tol * (1.0 / a_max + np.abs(t))
     if not converged.all():
         raise NonConvergence(f"{int((~converged).sum())} row(s) did not converge in {st.max_iter} iterations")
     return t

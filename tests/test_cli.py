@@ -65,6 +65,16 @@ def test_param_weight_ratio_rejected(capsys):
     assert err.startswith("gcoda: weight ratio") and err.count("\n") == 1
 
 
+def test_param_weight_magnitude_rejected(tmp_path, capsys):
+    path = write(tmp_path, "x.csv", "1e-300,1e300,1\n")
+    for argv in (("param", "--param", "1e-320,2e-320"),
+                 ("param", "--param", "1e308,1.5e308"),
+                 ("closure", "--param", "1e-306,2e-306,3e-306", "--input", path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("gcoda: weight magnitudes") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # data commands
 
@@ -174,6 +184,10 @@ def test_ingest_non_numeric(tmp_path, capsys):
     path = write(tmp_path, "bad.csv", "0.2,0.3,0.5\n0.2,zebra,0.5\n")
     code, _, err = run_cli(capsys, "log", "--param", "1,1,1", "--input", path)
     assert code == 1 and "non-numeric" in err
+    # the message names the physical line, blank lines included
+    path = write(tmp_path, "blank.csv", "a,b,c\n0.2,0.3,0.5\n\n\n0.2,x,0.5\n")
+    code, _, err = run_cli(capsys, "log", "--param", "1,1,1", "--input", path)
+    assert code == 1 and err == f"gcoda: {path}:5: non-numeric cell\n"
 
 
 def test_ingest_negative(tmp_path, capsys):

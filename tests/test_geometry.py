@@ -75,6 +75,15 @@ def test_weight_ratio_above_bound_rejected():
         g.make_context([1.0, 2e16])
 
 
+def test_weight_magnitude_out_of_range_rejected():
+    for a in ([1e-301, 1.0], [1e-320, 2e-320], [1.0, 1e301], [1e308, 1.5e308], [-1e-306, -2e-306]):
+        with pytest.raises(g.WeightOutOfRange, match="magnitudes"):
+            g.make_context(a)
+    # the bounds themselves are accepted
+    assert g.make_context([1e-300, 2e-300]).fast_path == "quadratic"
+    assert g.make_context([1e299, 1e300]).dim == 2
+
+
 def test_context_invariants(ctx_gen):
     assert abs(ctx_gen.e_a.sum() - 1.0) <= 1e-12
     assert (ctx_gen.e_a > 0).all() and ctx_gen.s > 0
@@ -144,19 +153,27 @@ def test_closure_robust_to_extreme_magnitudes():
 
 
 def test_closure_residual_across_weight_ratios_and_spreads():
-    # the last ratio, weights (1e-8, 1, 1e8), is exactly the accepted bound
+    # the last ratio, weights (1e-8, 1, 1e8), is exactly the accepted bound;
+    # each ratio is also taken at the accepted magnitude bounds, with the
+    # smallest weight at 1e-300 or the largest at 1e300
     rng = np.random.default_rng(72)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for ratio in (1e2, 1e4, 1e8, 1e12, 1e16):
-            ctx = g.make_context([ratio**-0.5, 1.0, ratio**0.5])
+            weights = (
+                [ratio**-0.5, 1.0, ratio**0.5],
+                1e-300 * np.array([1.0, ratio**0.5, ratio]),
+                1e300 * np.array([1.0 / ratio, ratio**-0.5, 1.0]),
+            )
+            contexts = [g.make_context(a) for a in weights]
             for spread in (5, 50, 300, 700):
                 logx = rng.uniform(-spread, spread, size=(2000, 3))
-                t = g.solve_t(ctx, np.exp(logx))
-                w = logx + t[:, None] * ctx.a
-                wm = w.max(axis=1)
-                resid = wm + np.log(np.exp(w - wm[:, None]).sum(axis=1))
-                assert np.abs(resid).max() <= 1e-11, (ratio, spread)
+                for ctx in contexts:
+                    t = g.solve_t(ctx, np.exp(logx))
+                    w = logx + t[:, None] * ctx.a
+                    wm = w.max(axis=1)
+                    resid = wm + np.log(np.exp(w - wm[:, None]).sum(axis=1))
+                    assert np.abs(resid).max() <= 1e-11, (ratio, ctx.a.min(), spread)
 
 
 def test_newton_root_on_bracket_end():
