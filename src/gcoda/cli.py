@@ -11,16 +11,16 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import html
 import json
 import sys
-from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .basis import helmert_basis
-from .compose import SubSelection, select, subcompose
+from .compose import SubSelection, subcompose
 from .errors import (
     GcodaError,
     IngestError,
@@ -48,26 +48,6 @@ from .stats import (
     make_gaussian,
     pca,
 )
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Ingested rows plus any column names found in the CSV header."""
-
-    rows: np.ndarray
-    columns: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation configuration shared by all commands."""
-
-    ctx: GeometryContext
-    input: str | None
-    output: str | None
-    seed: int
-    format: str
-    close: bool
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +96,11 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _emit_rows(cfg: "RunConfig", arr: np.ndarray) -> None:
-    if cfg.format == "json":
-        _emit(json.dumps(_jsonify(np.atleast_2d(arr))) + "\n", cfg.output)
+def _emit_rows(args, arr: np.ndarray) -> None:
+    if args.format == "json":
+        _emit(json.dumps(_jsonify(np.atleast_2d(arr))) + "\n", args.output)
     else:
-        _emit(_rows_csv(arr), cfg.output)
+        _emit(_rows_csv(arr), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +113,17 @@ def _parse_line(line: str) -> list[float] | None:
         return None
 
 
-def _read_rows(path: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
+_Table = tuple[np.ndarray, tuple[str, ...] | None]  # rows, and the header's column names if any
+
+
+def _read_text(path: str, encoding: str) -> str:
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except UnicodeDecodeError:
+        raise IngestError(f"{path}: not UTF-8 text") from None
+
+
+def _read_rows(path: str) -> _Table:
     """Parse a CSV table of floats, with an optional header row.
 
     Blank lines are skipped; cells are read with Python's ``float()`` grammar.
@@ -142,7 +132,7 @@ def _read_rows(path: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     for a non-numeric cell, the physical line it sits on.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = _read_text(path, "utf-8-sig")
     except FileNotFoundError:
         raise IngestError(f"input file not found: {path}") from None
     lines = list(map(str.strip, text.splitlines()))
@@ -182,34 +172,29 @@ def _read_rows(path: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
     return out, columns
 
 
-def _ingest_positive(path: str) -> Dataset:
-    arr, columns = _read_rows(path)
-    if not (arr > 0).all():
-        raise NonPositiveValue(f"{path}: all values must be strictly positive")
-    return Dataset(rows=arr, columns=columns)
-
-
-def _ingest_compositions(cfg: RunConfig) -> Dataset:
-    if cfg.input is None:
-        raise IngestError("this command requires --input")
-    ds = _ingest_positive(cfg.input)
-    sums = ds.rows.sum(axis=1)
-    off = np.abs(sums - 1.0) > _COMPOSITION_SUM_TOL
-    if off.any():
-        if not cfg.close:
-            bad = int(np.flatnonzero(off)[0]) + 1
-            raise IngestError(f"{cfg.input}: data row {bad} does not sum to 1 (pass --close to project)")
-        rows = closure(cfg.ctx, ds.rows)
-    else:
-        rows = ds.rows / sums[:, None]
-    return Dataset(rows=rows, columns=ds.columns)
-
-
-def _ingest_free(path: str | None) -> Dataset:
+def _ingest_free(path: str | None) -> _Table:
     if path is None:
         raise IngestError("this command requires --input")
-    arr, columns = _read_rows(path)
-    return Dataset(rows=arr, columns=columns)
+    return _read_rows(path)
+
+
+def _ingest_positive(path: str | None) -> _Table:
+    rows, columns = _ingest_free(path)
+    if not (rows > 0).all():
+        raise NonPositiveValue(f"{path}: all values must be strictly positive")
+    return rows, columns
+
+
+def _ingest_compositions(ctx: GeometryContext, args) -> _Table:
+    rows, columns = _ingest_positive(args.input)
+    sums = rows.sum(axis=1)
+    off = np.abs(sums - 1.0) > _COMPOSITION_SUM_TOL
+    if off.any():
+        if not args.close:
+            bad = int(np.flatnonzero(off)[0]) + 1
+            raise IngestError(f"{args.input}: data row {bad} does not sum to 1 (pass --close to project)")
+        return closure(ctx, rows), columns
+    return rows / sums[:, None], columns
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
@@ -233,6 +218,7 @@ _VERTS = np.array([
 def ternary_svg(rows: np.ndarray, labels: tuple[str, str, str]) -> str:
     """Standalone SVG scatter of 3-part compositions in barycentric coordinates."""
     pts = np.atleast_2d(rows) @ _VERTS
+    labels = [html.escape(label, quote=False) for label in labels]
     tri = " ".join(f"{v[0]:.2f},{v[1]:.2f}" for v in _VERTS)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -252,119 +238,110 @@ def ternary_svg(rows: np.ndarray, labels: tuple[str, str, str]) -> str:
 # ---------------------------------------------------------------------------
 # Commands
 
-def _law_from_args(cfg: RunConfig, args):
-    n = cfg.ctx.dim - 1
+def _law_from_args(ctx: GeometryContext, args):
+    n = ctx.dim - 1
     mu = _parse_vector(args.mu, "--mu") if args.mu else np.zeros(n)
     if args.sigma:
         sigma, _ = _read_rows(args.sigma)
     else:
         sigma = np.eye(n)
-    basis = helmert_basis(cfg.ctx.dim)
-    return make_gaussian(cfg.ctx, basis, mu, sigma)
+    return make_gaussian(ctx, helmert_basis(ctx.dim), mu, sigma)
 
 
-def _cmd_param(cfg: RunConfig, args) -> None:
-    ctx = cfg.ctx
-    if cfg.format == "json":
-        _emit(json.dumps(_jsonify({"a": ctx.a, "e_a": ctx.e_a, "s": ctx.s})) + "\n", cfg.output)
+def _cmd_param(ctx: GeometryContext, args) -> None:
+    if args.format == "json":
+        _emit(json.dumps(_jsonify({"a": ctx.a, "e_a": ctx.e_a, "s": ctx.s})) + "\n", args.output)
     else:
-        text = f"a = {_rows_csv(ctx.a)}e_a = {_rows_csv(ctx.e_a)}s = {ctx.s:.12g}\n"
-        _emit(text, cfg.output)
+        _emit(f"a = {_rows_csv(ctx.a)}e_a = {_rows_csv(ctx.e_a)}s = {ctx.s:.12g}\n", args.output)
 
 
-def _cmd_closure(cfg: RunConfig, args) -> None:
-    if cfg.input is None:
-        raise IngestError("this command requires --input")
-    ds = _ingest_positive(cfg.input)
-    _emit_rows(cfg, closure(cfg.ctx, ds.rows))
+def _cmd_closure(ctx: GeometryContext, args) -> None:
+    rows, _ = _ingest_positive(args.input)
+    _emit_rows(args, closure(ctx, rows))
 
 
-def _cmd_log(cfg: RunConfig, args) -> None:
-    ds = _ingest_compositions(cfg)
-    _emit_rows(cfg, log_map(cfg.ctx, ds.rows))
+def _cmd_log(ctx: GeometryContext, args) -> None:
+    rows, _ = _ingest_compositions(ctx, args)
+    _emit_rows(args, log_map(ctx, rows))
 
 
-def _cmd_exp(cfg: RunConfig, args) -> None:
-    ds = _ingest_free(cfg.input)
-    _emit_rows(cfg, exp_map(cfg.ctx, ds.rows))
+def _cmd_exp(ctx: GeometryContext, args) -> None:
+    rows, _ = _ingest_free(args.input)
+    _emit_rows(args, exp_map(ctx, rows))
 
 
-def _cmd_perturb(cfg: RunConfig, args) -> None:
-    ds = _ingest_compositions(cfg)
-    by = closure(cfg.ctx, _parse_vector(args.by, "--by"))
-    _emit_rows(cfg, perturb(cfg.ctx, ds.rows, by))
+def _cmd_perturb(ctx: GeometryContext, args) -> None:
+    rows, _ = _ingest_compositions(ctx, args)
+    by = closure(ctx, _parse_vector(args.by, "--by"))
+    _emit_rows(args, perturb(ctx, rows, by))
 
 
-def _cmd_power(cfg: RunConfig, args) -> None:
-    ds = _ingest_compositions(cfg)
-    _emit_rows(cfg, power(cfg.ctx, args.c, ds.rows))
+def _cmd_power(ctx: GeometryContext, args) -> None:
+    rows, _ = _ingest_compositions(ctx, args)
+    _emit_rows(args, power(ctx, args.c, rows))
 
 
-def _cmd_dist(cfg: RunConfig, args) -> None:
-    ds = _ingest_compositions(cfg)
-    _emit_rows(cfg, pairwise_distance(cfg.ctx, ds.rows))
+def _cmd_dist(ctx: GeometryContext, args) -> None:
+    rows, _ = _ingest_compositions(ctx, args)
+    _emit_rows(args, pairwise_distance(ctx, rows))
 
 
-def _cmd_mean(cfg: RunConfig, args) -> None:
-    ds = _ingest_compositions(cfg)
-    _emit_rows(cfg, frechet_mean(cfg.ctx, ds.rows))
+def _cmd_mean(ctx: GeometryContext, args) -> None:
+    rows, _ = _ingest_compositions(ctx, args)
+    _emit_rows(args, frechet_mean(ctx, rows))
 
 
-def _cmd_pca(cfg: RunConfig, args) -> None:
-    if cfg.format == "csv":
+def _cmd_pca(ctx: GeometryContext, args) -> None:
+    if args.format == "csv":
         raise IngestError("pca output is structured; use --format json")
-    ds = _ingest_compositions(cfg)
-    k = args.k if args.k is not None else cfg.ctx.dim - 1
-    basis = helmert_basis(cfg.ctx.dim)
-    pc = pca(cfg.ctx, basis, ds.rows, k)
+    rows, _ = _ingest_compositions(ctx, args)
+    k = args.k if args.k is not None else ctx.dim - 1
+    pc = pca(ctx, helmert_basis(ctx.dim), rows, k)
     payload = {
-        "param": cfg.ctx.a,
+        "param": ctx.a,
         "mean": pc.mean,
         "variances": pc.variances,
         "directions": pc.directions,
         "scores": pc.scores,
     }
-    _emit(json.dumps(_jsonify(payload)) + "\n", cfg.output)
+    _emit(json.dumps(_jsonify(payload)) + "\n", args.output)
 
 
-def _cmd_sub(cfg: RunConfig, args) -> None:
+def _cmd_sub(ctx: GeometryContext, args) -> None:
     if not args.indices:
         raise IngestError("sub requires --indices")
     try:
         indices = tuple(int(i) for i in args.indices.split(","))
     except ValueError:
         raise IngestError(f"could not parse --indices: {args.indices!r}") from None
-    ds = _ingest_compositions(cfg)
-    sel = SubSelection(indices)
-    sub_ctx, sub_rows = subcompose(cfg.ctx, sel, ds.rows)
-    if cfg.format == "json":
-        _emit(json.dumps(_jsonify({"param": sub_ctx.a, "rows": np.atleast_2d(sub_rows)})) + "\n", cfg.output)
+    rows, _ = _ingest_compositions(ctx, args)
+    sub_ctx, sub_rows = subcompose(ctx, SubSelection(indices), rows)
+    if args.format == "json":
+        _emit(json.dumps(_jsonify({"param": sub_ctx.a, "rows": sub_rows})) + "\n", args.output)
     else:
-        _emit(_rows_csv(sub_rows), cfg.output)
+        _emit(_rows_csv(sub_rows), args.output)
 
 
-def _cmd_sample(cfg: RunConfig, args) -> None:
-    law = _law_from_args(cfg, args)
-    rows = gaussian_sample(law, RandomSource(cfg.seed), args.n)
-    _emit_rows(cfg, rows)
+def _cmd_sample(ctx: GeometryContext, args) -> None:
+    law = _law_from_args(ctx, args)
+    _emit_rows(args, gaussian_sample(law, RandomSource(args.seed), args.n))
 
 
-def _cmd_density(cfg: RunConfig, args) -> None:
-    law = _law_from_args(cfg, args)
-    ds = _ingest_compositions(cfg)
-    dens = np.atleast_1d(gaussian_density(law, ds.rows))
-    if cfg.format == "json":
-        _emit(json.dumps(_jsonify(dens)) + "\n", cfg.output)
+def _cmd_density(ctx: GeometryContext, args) -> None:
+    law = _law_from_args(ctx, args)
+    rows, _ = _ingest_compositions(ctx, args)
+    dens = gaussian_density(law, rows)
+    if args.format == "json":
+        _emit(json.dumps(_jsonify(dens)) + "\n", args.output)
     else:
-        _emit(_rows_csv(dens[:, None]), cfg.output)
+        _emit(_rows_csv(dens[:, None]), args.output)
 
 
-def _cmd_plot(cfg: RunConfig, args) -> None:
-    ds = _ingest_compositions(cfg)
-    if ds.rows.shape[1] != 3:
+def _cmd_plot(ctx: GeometryContext, args) -> None:
+    rows, columns = _ingest_compositions(ctx, args)
+    if rows.shape[1] != 3:
         raise IngestError("plot needs 3-part compositions; subcompose or project first")
-    labels = ds.columns if ds.columns is not None else ("x1", "x2", "x3")
-    _emit(ternary_svg(ds.rows, tuple(labels)), cfg.output)
+    _emit(ternary_svg(rows, columns or ("x1", "x2", "x3")), args.output)
 
 
 _COMMANDS = {
@@ -431,33 +408,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(args) -> RunConfig:
+def _build_config(args) -> GeometryContext:
+    """The geometry of --param or --param-file; also settles the default --format."""
     if bool(args.param) == bool(args.param_file):
         raise IngestError("exactly one of --param or --param-file is required")
     if args.param:
         vec = _parse_vector(args.param, "--param")
     else:
-        vec = _parse_vector(Path(args.param_file).read_text(encoding="utf-8").replace("\n", ","), "--param-file")
-    ctx = make_context(vec)
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if args.command == "pca" else "csv"
-    return RunConfig(
-        ctx=ctx,
-        input=args.input,
-        output=args.output,
-        seed=args.seed,
-        format=fmt,
-        close=args.close,
-    )
+        vec = _parse_vector(_read_text(args.param_file, "utf-8").replace("\n", ","), "--param-file")
+    if args.format is None:
+        args.format = "json" if args.command == "pca" else "csv"
+    return make_context(vec)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        _COMMANDS[args.command](cfg, args)
+        ctx = _build_config(args)
+        _COMMANDS[args.command](ctx, args)
         return 0
     except (NonConvergence, NumericalOverflow, NotPositiveDefinite) as exc:
         print(f"gcoda: numerical failure: {exc}", file=sys.stderr)

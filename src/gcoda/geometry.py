@@ -20,7 +20,9 @@ closure through a quadratic equation.  Any other positive weight vector is
 handled by a safeguarded Newton solve in the log domain.
 
 All state lives in an immutable :class:`GeometryContext`; every operation is
-a pure function and accepts a single vector or a row-matrix of vectors.
+a pure function.  Parts lie along the last axis: an operation accepts a
+single vector or a row-matrix of vectors and acts row by row, and a scalar
+result of a single vector is a Python ``float`` or ``bool``.
 """
 
 from __future__ import annotations
@@ -175,8 +177,8 @@ def make_context(a, solver: SolverSettings | None = None) -> GeometryContext:
         solver = SolverSettings()
 
     fast_path = _detect_fast_path(arr)
-    t1 = _solve_logt(arr, np.zeros((1, arr.size)), solver, fast_path)[0]
-    e = _softmax_rows(np.outer([t1], arr))[0]
+    t1 = _solve_logt(arr, np.zeros(arr.size), solver, fast_path)
+    e = _softmax_rows(t1 * arr)
     s = float(arr @ e)
 
     if not (abs(e.sum() - 1.0) <= 1e-12 and s > 0):
@@ -223,17 +225,18 @@ def _check_dim(ctx: GeometryContext, arr: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Closure root solve
+# Closure root solve.  The kernels act on the last axis: one vector, or a
+# row-matrix row by row.
 
 
 def _lse_rows(w: np.ndarray) -> np.ndarray:
-    m = w.max(axis=1)
-    return m + np.log(np.exp(w - m[:, None]).sum(axis=1))
+    m = w.max(axis=-1)
+    return m + np.log(np.exp(w - m[..., None]).sum(axis=-1))
 
 
 def _softmax_rows(w: np.ndarray) -> np.ndarray:
-    e = np.exp(w - w.max(axis=1)[:, None])
-    return e / e.sum(axis=1)[:, None]
+    e = np.exp(w - w.max(axis=-1)[..., None])
+    return e / e.sum(axis=-1)[..., None]
 
 
 def _solve_logt(a: np.ndarray, logx: np.ndarray, settings: SolverSettings, fast_path: str) -> np.ndarray:
@@ -242,10 +245,10 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, settings: SolverSettings, fast_
         return -_lse_rows(logx) / a[0]
     if fast_path == QUADRATIC and logx.max() <= _QUAD_SAFE_LOG:
         x = np.exp(logx)
-        s_head = x[:, :-1].sum(axis=1)
+        s_head = x[..., :-1].sum(axis=-1)
         # Rationalized positive root of  x_last*y**2 + S*y - 1 = 0, y = e^(ct);
         # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
-        y = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * x[:, -1]))
+        y = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * x[..., -1]))
         return np.log(y) / a[0]
     return _newton_logt(a, logx, settings)
 
@@ -262,14 +265,14 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndar
     |logx| next to a weight near ``_MIN_WEIGHT`` would overflow t itself.
     """
     def eval_g(t):
-        w = logx + t[:, None] * a[None, :]
-        wm = w.max(axis=1)
-        e = np.exp(w - wm[:, None])
-        se = e.sum(axis=1)
+        w = logx + t[..., None] * a
+        wm = w.max(axis=-1)
+        e = np.exp(w - wm[..., None])
+        se = e.sum(axis=-1)
         return wm + np.log(se), (e @ a) / se
 
     a_min, a_max = float(a.min()), float(a.max())
-    g0, _ = eval_g(np.zeros(logx.shape[0]))
+    g0, _ = eval_g(np.zeros(logx.shape[:-1]))
     # Widen g0 by far more than its rounding error, so that a root on an end
     # of the bracket (one part dominating the row) lies strictly inside it.
     d = 1e-12 * (1.0 + np.abs(g0))
@@ -307,7 +310,12 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndar
 
 def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:
     t = _solve_logt(ctx.a, logx, ctx.solver, ctx.fast_path)
-    return _softmax_rows(logx + t[:, None] * ctx.a[None, :])
+    return _softmax_rows(logx + t[..., None] * ctx.a)
+
+
+def _item(v):
+    """A 0-d result as a Python scalar; arrays pass through."""
+    return v.item() if np.ndim(v) == 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +329,14 @@ def solve_t(ctx: GeometryContext, x):
     """
     xa = as_positive(x)
     _check_dim(ctx, xa)
-    t = _solve_logt(ctx.a, np.atleast_2d(np.log(xa)), ctx.solver, ctx.fast_path)
-    return float(t[0]) if xa.ndim == 1 else t
+    return _item(_solve_logt(ctx.a, np.log(xa), ctx.solver, ctx.fast_path))
 
 
 def closure(ctx: GeometryContext, x) -> np.ndarray:
     """Project positive vector(s) onto the simplex along their class."""
     xa = as_positive(x)
     _check_dim(ctx, xa)
-    out = _closure_logx(ctx, np.atleast_2d(np.log(xa)))
-    return out[0] if xa.ndim == 1 else out
+    return _closure_logx(ctx, np.log(xa))
 
 
 def neutral_to_param(lam) -> np.ndarray:
@@ -365,10 +371,9 @@ def log_map(ctx: GeometryContext, lam) -> np.ndarray:
     """
     arr = as_composition(lam)
     _check_dim(ctx, arr)
-    L = np.log(np.atleast_2d(arr))
+    L = np.log(arr)
     w = L @ ctx.e_a
-    xi = ctx.e_a * L - np.outer(w / ctx.s, ctx.a * ctx.e_a)
-    return xi[0] if arr.ndim == 1 else xi
+    return ctx.e_a * L - (w / ctx.s)[..., None] * (ctx.a * ctx.e_a)
 
 
 def exp_map(ctx: GeometryContext, xi) -> np.ndarray:
@@ -381,9 +386,7 @@ def exp_map(ctx: GeometryContext, xi) -> np.ndarray:
     """
     arr = as_tangent(xi)
     _check_dim(ctx, arr)
-    v = np.atleast_2d(arr) / ctx.e_a
-    out = _closure_logx(ctx, v)
-    return out[0] if arr.ndim == 1 else out
+    return _closure_logx(ctx, arr / ctx.e_a)
 
 
 def perturb(ctx: GeometryContext, lam, mu) -> np.ndarray:
@@ -391,20 +394,17 @@ def perturb(ctx: GeometryContext, lam, mu) -> np.ndarray:
     la, mu_ = as_composition(lam), as_composition(mu)
     _check_dim(ctx, la)
     _check_dim(ctx, mu_)
-    logx = np.atleast_2d(np.log(la) + np.log(mu_))
-    out = _closure_logx(ctx, logx)
-    return out[0] if max(la.ndim, mu_.ndim) == 1 else out
+    return _closure_logx(ctx, np.log(la) + np.log(mu_))
 
 
 def power(ctx: GeometryContext, c: float, lam) -> np.ndarray:
     """Scalar multiplication: closure of componentwise c-th powers."""
     la = as_composition(lam)
     _check_dim(ctx, la)
-    logx = np.atleast_2d(c * np.log(la))
+    logx = c * np.log(la)
     if not np.isfinite(logx).all():
         raise NumericalOverflow("scalar multiple overflowed the log domain")
-    out = _closure_logx(ctx, logx)
-    return out[0] if la.ndim == 1 else out
+    return _closure_logx(ctx, logx)
 
 
 def invert(ctx: GeometryContext, lam) -> np.ndarray:
@@ -414,27 +414,22 @@ def invert(ctx: GeometryContext, lam) -> np.ndarray:
 
 def inner(ctx: GeometryContext, lam, mu):
     """Inner product: Euclidean dot product of the two log-map images."""
-    xi, eta = log_map(ctx, lam), log_map(ctx, mu)
-    return float(xi @ eta) if xi.ndim == 1 and eta.ndim == 1 else np.sum(np.atleast_2d(xi) * np.atleast_2d(eta), axis=1)
+    return _item(np.sum(log_map(ctx, lam) * log_map(ctx, mu), axis=-1))
 
 
 def norm(ctx: GeometryContext, lam):
     """Norm induced by :func:`inner`."""
-    xi = log_map(ctx, lam)
-    return float(np.linalg.norm(xi)) if xi.ndim == 1 else np.linalg.norm(xi, axis=1)
+    return _item(np.linalg.norm(log_map(ctx, lam), axis=-1))
 
 
 def distance(ctx: GeometryContext, lam, mu):
     """Translation-invariant distance: Euclidean distance of log-map images."""
-    xi, eta = log_map(ctx, lam), log_map(ctx, mu)
-    diff = np.atleast_2d(xi) - np.atleast_2d(eta)
-    d = np.linalg.norm(diff, axis=1)
-    return float(d[0]) if xi.ndim == 1 and eta.ndim == 1 else d
+    return _item(np.linalg.norm(log_map(ctx, lam) - log_map(ctx, mu), axis=-1))
 
 
 def pairwise_distance(ctx: GeometryContext, rows) -> np.ndarray:
     """Full m-by-m distance matrix of a row-matrix of compositions."""
-    xi = np.atleast_2d(log_map(ctx, rows))
+    xi = log_map(ctx, rows).reshape(-1, ctx.dim)
     m = xi.shape[0]
     out = np.zeros((m, m))
     # Direct differencing row by row; the Gram-matrix shortcut loses ~1e-8
@@ -450,9 +445,8 @@ def equivalent(ctx: GeometryContext, v, w, tol: float = 1e-10):
 
     True when their closures agree componentwise within ``tol``.
     """
-    cv = np.atleast_2d(closure(ctx, v))
-    cw = np.atleast_2d(closure(ctx, w))
-    if cv.shape != cw.shape:
+    cv, cw = closure(ctx, v), closure(ctx, w)
+    # one vector is compared with every row of a row-matrix
+    if cv.ndim == cw.ndim and cv.shape != cw.shape:
         raise DimensionMismatch("operands must have matching shapes")
-    same = np.max(np.abs(cv - cw), axis=1) <= tol
-    return bool(same[0]) if np.asarray(v).ndim == 1 and np.asarray(w).ndim == 1 else same
+    return _item(np.max(np.abs(cv - cw), axis=-1) <= tol)

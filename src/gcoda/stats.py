@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import TangentBasis, coords, from_coords
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .geometry import GeometryContext, as_composition, exp_map, log_map
+from .geometry import GeometryContext, exp_map, log_map
 
 __all__ = [
     "frechet_mean",
@@ -40,19 +40,24 @@ def frechet_mean(ctx: GeometryContext, rows) -> np.ndarray:
     minimizer is unique and equals the exp of the arithmetic mean of the
     log-map images (the group-operation sample mean).
     """
-    arr = np.atleast_2d(as_composition(rows))
-    return exp_map(ctx, log_map(ctx, arr).mean(axis=0))
+    return exp_map(ctx, log_map(ctx, np.atleast_2d(rows)).mean(axis=0))
+
+
+def _centred_coords(ctx: GeometryContext, basis: TangentBasis, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis coordinates of the rows: their mean, deviations from it and covariance."""
+    z = coords(ctx, basis, np.atleast_2d(rows))
+    m = z.shape[0]
+    if m < 2:
+        raise DimensionMismatch("covariance needs at least two rows")
+    centre = z.mean(axis=0)
+    dev = z - centre
+    cov = (dev.T @ dev) / (m - 1)
+    return centre, dev, 0.5 * (cov + cov.T)
 
 
 def sample_covariance(ctx: GeometryContext, basis: TangentBasis, rows) -> np.ndarray:
     """Unbiased covariance of the basis coordinates of the rows."""
-    z = np.atleast_2d(coords(ctx, basis, rows))
-    m = z.shape[0]
-    if m < 2:
-        raise DimensionMismatch("covariance needs at least two rows")
-    dev = z - z.mean(axis=0)
-    cov = (dev.T @ dev) / (m - 1)
-    return 0.5 * (cov + cov.T)
+    return _centred_coords(ctx, basis, rows)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +102,14 @@ def pca(ctx: GeometryContext, basis: TangentBasis, rows, k: int) -> PrincipalCom
     distances exactly when its tangent direction is a top eigenvector of the
     coordinate covariance.
     """
-    arr = np.atleast_2d(as_composition(rows))
     n_coords = ctx.dim - 1
     if not 1 <= k <= n_coords:
         raise DimensionMismatch(f"k must be in 1..{n_coords}")
-    cov = sample_covariance(ctx, basis, arr)
+    centre, dev, cov = _centred_coords(ctx, basis, rows)
     vals, vecs = _eigh_descending(cov)
-    mean_log = log_map(ctx, arr).mean(axis=0)
-    z = np.atleast_2d(coords(ctx, basis, arr))
-    dev = z - mean_log @ basis.vectors.T
     directions = vecs[:, :k].T @ basis.vectors
     return PrincipalComponents(
-        mean=exp_map(ctx, mean_log),
+        mean=from_coords(ctx, basis, centre),
         directions=directions,
         variances=np.maximum(vals[:k], 0.0),
         scores=dev @ vecs[:, :k],
@@ -216,11 +217,10 @@ def gaussian_density(g: SimplexGaussian, lam):
     Equals the ordinary multivariate normal density evaluated at the
     coordinates of ``lam``.
     """
-    z = np.atleast_2d(coords(g.ctx, g.basis, lam))
     n = g.ctx.dim - 1
-    dev = z - g.mean_coords
+    dev = coords(g.ctx, g.basis, lam) - g.mean_coords
     y = np.linalg.solve(g.chol, dev.T)
     quad = np.sum(y * y, axis=0)
     log_det = 2.0 * np.sum(np.log(np.diag(g.chol)))
     dens = np.exp(-0.5 * (quad + n * np.log(2.0 * np.pi) + log_det))
-    return float(dens[0]) if np.asarray(lam).ndim == 1 else dens
+    return dens.item() if np.ndim(dens) == 0 else dens

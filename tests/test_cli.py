@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -226,6 +227,19 @@ def test_ingest_byte_order_mark(tmp_path, capsys):
     assert code == 0 and ">sand</text>" in out
 
 
+@pytest.mark.parametrize("flag", ["--input", "--param-file", "--sigma"])
+def test_non_utf8_file_is_a_validation_error(tmp_path, capsys, flag):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"0.2,0.3,0.5\n0.2,0.3,0.5\xff\n")
+    data = write(tmp_path, "ok.csv", "0.2,0.3,0.5\n")
+    argv = {"--input": ("log", "--param", "1,1,1", "--input", str(bad)),
+            "--param-file": ("log", "--param-file", str(bad), "--input", data),
+            "--sigma": ("density", "--param", "1,1,1", "--input", data, "--sigma", str(bad))}[flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: {bad}: not UTF-8 text\n"
+
+
 def test_ingest_header_row(tmp_path, capsys):
     path = write(tmp_path, "h.csv", "sand,silt,clay\n0.2,0.3,0.5\n")
     code, out, _ = run_cli(capsys, "plot", "--param", "1,1,1", "--input", path)
@@ -298,6 +312,15 @@ def test_plot_rejects_non_ternary(tmp_path, capsys):
     path = write(tmp_path, "c.csv", "0.2,0.2,0.3,0.3\n")
     code, _, err = run_cli(capsys, "plot", "--param", "1,1,1,1", "--input", path)
     assert code == 1 and "3-part" in err
+
+
+def test_plot_escapes_header_labels(tmp_path, capsys):
+    path = write(tmp_path, "h.csv", "a<b,c&d,e>f\n0.2,0.3,0.5\n")
+    code, out, _ = run_cli(capsys, "plot", "--param", "1,1,1", "--input", path)
+    assert code == 0
+    root = ElementTree.fromstring(out.encode("utf-8"))
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == ["a<b", "c&d", "e>f"]
 
 
 def test_ternary_svg_unit():
