@@ -19,7 +19,6 @@ from .errors import (
 )
 from .geometry import (
     GeometryContext,
-    SolverSettings,
     as_composition,
     as_tangent,
     closure,

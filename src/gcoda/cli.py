@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import html
 import json
+import re
 import sys
 from itertools import compress, count, islice, repeat
 from pathlib import Path
@@ -172,13 +173,11 @@ def _read_rows(path: str) -> _Table:
     return out, columns
 
 
-def _ingest_free(path: str | None) -> _Table:
-    if path is None:
-        raise IngestError("this command requires --input")
+def _ingest_free(path: str) -> _Table:
     return _read_rows(path)
 
 
-def _ingest_positive(path: str | None) -> _Table:
+def _ingest_positive(path: str) -> _Table:
     rows, columns = _ingest_free(path)
     if not (rows > 0).all():
         raise NonPositiveValue(f"{path}: all values must be strictly positive")
@@ -199,7 +198,7 @@ def _ingest_compositions(ctx: GeometryContext, args) -> _Table:
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(c) for c in text.split(",") if c.strip() != ""], dtype=float)
+        return np.array([float(c) for c in text.split(",")], dtype=float)
     except ValueError:
         raise IngestError(f"could not parse {what}: {text!r}") from None
 
@@ -208,6 +207,9 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
 # Ternary SVG
 
 _SVG_W, _SVG_H = 600, 520
+# Characters outside XML 1.0's Char production, which escaping cannot fix.
+# Compiled on first use (by re's cache), so commands other than plot skip it.
+_NOT_XML_CHAR = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 _VERTS = np.array([
     [50.0, 470.0],
     [550.0, 470.0],
@@ -218,6 +220,9 @@ _VERTS = np.array([
 def ternary_svg(rows: np.ndarray, labels: tuple[str, str, str]) -> str:
     """Standalone SVG scatter of 3-part compositions in barycentric coordinates."""
     pts = np.atleast_2d(rows) @ _VERTS
+    for label in labels:
+        if re.search(_NOT_XML_CHAR, label):
+            raise IngestError(f"label {label!r} holds a character XML 1.0 forbids")
     labels = [html.escape(label, quote=False) for label in labels]
     tri = " ".join(f"{v[0]:.2f},{v[1]:.2f}" for v in _VERTS)
     out = [
@@ -308,8 +313,6 @@ def _cmd_pca(ctx: GeometryContext, args) -> None:
 
 
 def _cmd_sub(ctx: GeometryContext, args) -> None:
-    if not args.indices:
-        raise IngestError("sub requires --indices")
     try:
         indices = tuple(int(i) for i in args.indices.split(","))
     except ValueError:
@@ -371,53 +374,59 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser.  Each command accepts only the options it reads."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--param", help="comma-separated weight vector, e.g. 1,1,2")
     common.add_argument("--param-file", help="file holding the weight vector")
-    common.add_argument("--input", help="input CSV path")
     common.add_argument("--output", help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    common.add_argument("--close", action="store_true", help="project non-unit-sum rows instead of rejecting")
-    common.add_argument("--seed", type=int, default=0, help="sampler seed")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--input", required=True, help="input CSV path")
+    comps = argparse.ArgumentParser(add_help=False, parents=[data])
+    comps.add_argument("--close", action="store_true", help="project non-unit-sum rows instead of rejecting")
+    law = argparse.ArgumentParser(add_help=False)
+    law.add_argument("--mu", help="comma-separated mean coordinates (default: zeros)")
+    law.add_argument("--sigma", help="CSV path of the coordinate covariance (default: identity)")
 
     parser = _Parser(prog="gcoda", description="weighted simplex geometry, statistics and simulation")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("param", parents=[common], help="print the canonical weights, neutral element and normalizer")
-    sub.add_parser("closure", parents=[common], help="project positive rows onto the simplex")
-    sub.add_parser("log", parents=[common], help="log-map rows to zero-sum tangent vectors")
-    sub.add_parser("exp", parents=[common], help="exp-map zero-sum rows to compositions")
-    p = sub.add_parser("perturb", parents=[common], help="group-translate every row by a fixed vector")
+    def command(name, summary, *parents):
+        return sub.add_parser(name, parents=[common, *parents], help=summary)
+
+    command("param", "print the canonical weights, neutral element and normalizer", table)
+    command("closure", "project positive rows onto the simplex", data, table)
+    command("log", "log-map rows to zero-sum tangent vectors", comps, table)
+    command("exp", "exp-map zero-sum rows to compositions", data, table)
+    p = command("perturb", "group-translate every row by a fixed vector", comps, table)
     p.add_argument("--by", required=True, help="comma-separated positive vector (closed before use)")
-    p = sub.add_parser("power", parents=[common], help="scalar-multiply every row")
+    p = command("power", "scalar-multiply every row", comps, table)
     p.add_argument("--c", type=float, required=True, help="scalar")
-    sub.add_parser("dist", parents=[common], help="full pairwise distance matrix")
-    sub.add_parser("mean", parents=[common], help="intrinsic (group) sample mean")
-    p = sub.add_parser("pca", parents=[common], help="principal component analysis (JSON)")
+    command("dist", "full pairwise distance matrix", comps, table)
+    command("mean", "intrinsic (group) sample mean", comps, table)
+    p = command("pca", "principal component analysis (JSON)", comps)
+    p.add_argument("--format", choices=("csv", "json"), default="json", help="output format (json only)")
     p.add_argument("--k", type=int, default=None, help="number of components (default: all)")
-    p = sub.add_parser("sub", parents=[common], help="subcomposition under the restricted weights")
-    p.add_argument("--indices", help="comma-separated 1-based part positions")
-    p = sub.add_parser("sample", parents=[common], help="draw from a normal law on the simplex")
+    p = command("sub", "subcomposition under the restricted weights", comps, table)
+    p.add_argument("--indices", required=True, help="comma-separated 1-based part positions")
+    p = command("sample", "draw from a normal law on the simplex", law, table)
     p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--mu", help="comma-separated mean coordinates (default: zeros)")
-    p.add_argument("--sigma", help="CSV path of the coordinate covariance (default: identity)")
-    p = sub.add_parser("density", parents=[common], help="normal density at each input row")
-    p.add_argument("--mu", help="comma-separated mean coordinates (default: zeros)")
-    p.add_argument("--sigma", help="CSV path of the coordinate covariance (default: identity)")
-    sub.add_parser("plot", parents=[common], help="ternary scatter SVG of 3-part rows")
+    p.add_argument("--seed", type=int, default=0, help="sampler seed")
+    command("density", "normal density at each input row", comps, law, table)
+    command("plot", "ternary scatter SVG of 3-part rows", comps)
     return parser
 
 
 def _build_config(args) -> GeometryContext:
-    """The geometry of --param or --param-file; also settles the default --format."""
+    """The geometry of --param or --param-file."""
     if bool(args.param) == bool(args.param_file):
         raise IngestError("exactly one of --param or --param-file is required")
     if args.param:
         vec = _parse_vector(args.param, "--param")
     else:
-        vec = _parse_vector(_read_text(args.param_file, "utf-8").replace("\n", ","), "--param-file")
-    if args.format is None:
-        args.format = "json" if args.command == "pca" else "csv"
+        lines = map(str.strip, _read_text(args.param_file, "utf-8").splitlines())
+        vec = _parse_vector(",".join(filter(None, lines)), "--param-file")
     return make_context(vec)
 
 

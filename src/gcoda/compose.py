@@ -57,7 +57,7 @@ def subcompose(ctx: GeometryContext, sel, lam) -> tuple[GeometryContext, np.ndar
     cannot accidentally mix the parent geometry with sub-part data.
     """
     sel = _as_selection(sel)
-    sub_ctx = make_context(select(sel, ctx.a), ctx.solver)
+    sub_ctx = make_context(select(sel, ctx.a))
     sub = closure(sub_ctx, select(sel, as_composition(lam)))
     return sub_ctx, sub
 
@@ -71,4 +71,4 @@ def permute_context(ctx: GeometryContext, perm) -> GeometryContext:
     idx = tuple(int(i) for i in perm)
     if sorted(idx) != list(range(1, ctx.dim + 1)):
         raise DimensionMismatch(f"not a permutation of 1..{ctx.dim}: {perm}")
-    return make_context(ctx.a[[i - 1 for i in idx]], ctx.solver)
+    return make_context(ctx.a[[i - 1 for i in idx]])

@@ -45,7 +45,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SolverSettings",
     "GeometryContext",
     "make_context",
     "as_composition",
@@ -88,21 +87,9 @@ _MIN_WEIGHT, _MAX_WEIGHT = 1e-300, 1e300
 
 _COMPOSITION_SUM_TOL = 1e-9
 _TANGENT_SUM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances for the closure root solve."""
-
-    f_tol: float = 1e-13
-    t_tol: float = 1e-14
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.f_tol > 0 and self.t_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+# Newton closure solve: residual target in g, relative step-stagnation floor
+# in t, and iteration budget.
+_F_TOL, _T_TOL, _MAX_ITER = 1e-13, 1e-14, 200
 
 
 @dataclass(frozen=True)
@@ -119,8 +106,6 @@ class GeometryContext:
         Normalizer ``sum_k a_k * e_a_k`` appearing in the log map.
     dim : int
         Number of components N+1.
-    solver : SolverSettings
-        Root-solve tolerances used by every closure in this geometry.
     fast_path : str
         One of "uniform", "quadratic", "general".
     """
@@ -129,7 +114,6 @@ class GeometryContext:
     e_a: np.ndarray
     s: float
     dim: int
-    solver: SolverSettings
     fast_path: str = field(repr=False)
 
 
@@ -145,7 +129,7 @@ def _detect_fast_path(a: np.ndarray) -> str:
     return GENERAL
 
 
-def make_context(a, solver: SolverSettings | None = None) -> GeometryContext:
+def make_context(a) -> GeometryContext:
     """Validate a weight vector and build the geometry it generates.
 
     Mixed-sign or zero components are rejected (such classes miss the simplex
@@ -173,11 +157,9 @@ def make_context(a, solver: SolverSettings | None = None) -> GeometryContext:
         )
     if arr.max() / arr.min() > _MAX_WEIGHT_RATIO:
         raise ZeroComponent(f"weight ratio max/min exceeds {_MAX_WEIGHT_RATIO:g}; the smallest weight is zero at float64 precision")
-    if solver is None:
-        solver = SolverSettings()
 
     fast_path = _detect_fast_path(arr)
-    t1 = _solve_logt(arr, np.zeros(arr.size), solver, fast_path)
+    t1 = _solve_logt(arr, np.zeros(arr.size), fast_path)
     e = _softmax_rows(t1 * arr)
     s = float(arr @ e)
 
@@ -186,7 +168,7 @@ def make_context(a, solver: SolverSettings | None = None) -> GeometryContext:
 
     arr.setflags(write=False)
     e.setflags(write=False)
-    return GeometryContext(a=arr, e_a=e, s=s, dim=arr.size, solver=solver, fast_path=fast_path)
+    return GeometryContext(a=arr, e_a=e, s=s, dim=arr.size, fast_path=fast_path)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +206,13 @@ def _check_dim(ctx: GeometryContext, arr: np.ndarray) -> None:
         raise DimensionMismatch(f"expected {ctx.dim} components, got {arr.shape[-1]}")
 
 
+def _pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operands that pair up: equal shapes, or one vector against every row."""
+    if u.ndim == v.ndim and u.shape != v.shape:
+        raise DimensionMismatch(f"operands must have matching shapes, got {u.shape} and {v.shape}")
+    return u, v
+
+
 # ---------------------------------------------------------------------------
 # Closure root solve.  The kernels act on the last axis: one vector, or a
 # row-matrix row by row.
@@ -239,7 +228,7 @@ def _softmax_rows(w: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1)[..., None]
 
 
-def _solve_logt(a: np.ndarray, logx: np.ndarray, settings: SolverSettings, fast_path: str) -> np.ndarray:
+def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
     """Row-wise exponent t with logsumexp(logx + a*t) = 0."""
     if fast_path == UNIFORM:
         return -_lse_rows(logx) / a[0]
@@ -250,10 +239,10 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, settings: SolverSettings, fast_
         # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
         y = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * x[..., -1]))
         return np.log(y) / a[0]
-    return _newton_logt(a, logx, settings)
+    return _newton_logt(a, logx)
 
 
-def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndarray:
+def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     """Safeguarded Newton on g(t) = logsumexp(logx + a*t), vectorized over rows.
 
     g is smooth, convex and increasing with slope g' in [min a, max a], so from
@@ -283,8 +272,8 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndar
     lo = np.where(g <= 0, t, lo)
     hi = np.where(g >= 0, t, hi)
 
-    converged = np.abs(g) <= st.f_tol
-    for _ in range(st.max_iter):
+    converged = np.abs(g) <= _F_TOL
+    for _ in range(_MAX_ITER):
         if converged.all():
             break
         t_new = t - g / gp
@@ -301,15 +290,15 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, st: SolverSettings) -> np.ndar
         # (reachable only for inputs with huge log magnitudes).  The floor is
         # relative to |t| plus 1 / max a, one unit of the exponents a * t, so
         # that the test does not pass at once for large weights and tiny t.
-        converged |= np.abs(g) <= st.f_tol
-        converged |= dt <= st.t_tol * (1.0 / a_max + np.abs(t))
+        converged |= np.abs(g) <= _F_TOL
+        converged |= dt <= _T_TOL * (1.0 / a_max + np.abs(t))
     if not converged.all():
-        raise NonConvergence(f"{int((~converged).sum())} row(s) did not converge in {st.max_iter} iterations")
+        raise NonConvergence(f"{int((~converged).sum())} row(s) did not converge in {_MAX_ITER} iterations")
     return t
 
 
 def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:
-    t = _solve_logt(ctx.a, logx, ctx.solver, ctx.fast_path)
+    t = _solve_logt(ctx.a, logx, ctx.fast_path)
     return _softmax_rows(logx + t[..., None] * ctx.a)
 
 
@@ -329,7 +318,7 @@ def solve_t(ctx: GeometryContext, x):
     """
     xa = as_positive(x)
     _check_dim(ctx, xa)
-    return _item(_solve_logt(ctx.a, np.log(xa), ctx.solver, ctx.fast_path))
+    return _item(_solve_logt(ctx.a, np.log(xa), ctx.fast_path))
 
 
 def closure(ctx: GeometryContext, x) -> np.ndarray:
@@ -391,7 +380,7 @@ def exp_map(ctx: GeometryContext, xi) -> np.ndarray:
 
 def perturb(ctx: GeometryContext, lam, mu) -> np.ndarray:
     """Group operation of the simplex: closure of the componentwise product."""
-    la, mu_ = as_composition(lam), as_composition(mu)
+    la, mu_ = _pair(as_composition(lam), as_composition(mu))
     _check_dim(ctx, la)
     _check_dim(ctx, mu_)
     return _closure_logx(ctx, np.log(la) + np.log(mu_))
@@ -414,7 +403,8 @@ def invert(ctx: GeometryContext, lam) -> np.ndarray:
 
 def inner(ctx: GeometryContext, lam, mu):
     """Inner product: Euclidean dot product of the two log-map images."""
-    return _item(np.sum(log_map(ctx, lam) * log_map(ctx, mu), axis=-1))
+    xi, eta = _pair(log_map(ctx, lam), log_map(ctx, mu))
+    return _item(np.sum(xi * eta, axis=-1))
 
 
 def norm(ctx: GeometryContext, lam):
@@ -424,7 +414,8 @@ def norm(ctx: GeometryContext, lam):
 
 def distance(ctx: GeometryContext, lam, mu):
     """Translation-invariant distance: Euclidean distance of log-map images."""
-    return _item(np.linalg.norm(log_map(ctx, lam) - log_map(ctx, mu), axis=-1))
+    xi, eta = _pair(log_map(ctx, lam), log_map(ctx, mu))
+    return _item(np.linalg.norm(xi - eta, axis=-1))
 
 
 def pairwise_distance(ctx: GeometryContext, rows) -> np.ndarray:
@@ -445,8 +436,5 @@ def equivalent(ctx: GeometryContext, v, w, tol: float = 1e-10):
 
     True when their closures agree componentwise within ``tol``.
     """
-    cv, cw = closure(ctx, v), closure(ctx, w)
-    # one vector is compared with every row of a row-matrix
-    if cv.ndim == cw.ndim and cv.shape != cw.shape:
-        raise DimensionMismatch("operands must have matching shapes")
+    cv, cw = _pair(closure(ctx, v), closure(ctx, w))
     return _item(np.max(np.abs(cv - cw), axis=-1) <= tol)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import TangentBasis, coords, from_coords
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .geometry import GeometryContext, exp_map, log_map
+from .geometry import GeometryContext, _item, exp_map, log_map
 
 __all__ = [
     "frechet_mean",
@@ -142,8 +142,6 @@ class RandomSource:
     generator machinery.
     """
 
-    algorithm = "splitmix64/box-muller"
-
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._position = 0  # uniforms consumed so far
@@ -222,5 +220,4 @@ def gaussian_density(g: SimplexGaussian, lam):
     y = np.linalg.solve(g.chol, dev.T)
     quad = np.sum(y * y, axis=0)
     log_det = 2.0 * np.sum(np.log(np.diag(g.chol)))
-    dens = np.exp(-0.5 * (quad + n * np.log(2.0 * np.pi) + log_det))
-    return dens.item() if np.ndim(dens) == 0 else dens
+    return _item(np.exp(-0.5 * (quad + n * np.log(2.0 * np.pi) + log_det)))

@@ -17,6 +17,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_any(capsys, *argv):
+    """Like run_cli, but a usage error's SystemExit gives its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -74,6 +84,89 @@ def test_param_weight_magnitude_rejected(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("gcoda: weight magnitudes") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["1\n1\n2\n", "1,1,2", "1,1,2\n\n", "\n1, 1\n  \n2\r\n"])
+def test_param_file_layouts(tmp_path, capsys, text):
+    # one weight per line, blank lines and a trailing newline all parse
+    path = write(tmp_path, "a.txt", text)
+    code, out, _ = run_cli(capsys, "param", "--param-file", path)
+    assert code == 0 and out.splitlines()[0] == "a = 1,1,2"
+
+
+@pytest.mark.parametrize("flag,value", [("--param", "1,,2"), ("--param", "1,1,2,"), ("--param", ",1,1,2"),
+                                        ("--param", "1, ,2"), ("--by", "0.5,,0.2"), ("--by", "0.5,0.3,0.2,"),
+                                        ("--mu", "0.5,,0.1"), ("--mu", "0.5,0.1,")])
+def test_empty_vector_cell_rejected(tmp_path, capsys, flag, value):
+    # an empty cell used to be skipped, which built a shorter vector
+    path = write(tmp_path, "c.csv", "0.2,0.3,0.5\n")
+    argv = {"--param": ("param", "--param", value),
+            "--by": ("perturb", "--param", "1,1,1", "--input", path, "--by", value),
+            "--mu": ("sample", "--param", "1,1,1", "--n", "2", "--mu", value)}[flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: could not parse {flag}: {value!r}\n"
+
+
+# ---------------------------------------------------------------------------
+# options a command does not read are usage errors
+
+_BASE = {
+    "param": ("param", "--param", "1,1,2"),
+    "closure": ("closure", "--param", "1,1,2", "--input", "{pos}"),
+    "log": ("log", "--param", "1,1,2", "--input", "{comp}"),
+    "exp": ("exp", "--param", "1,1,2", "--input", "{tan}"),
+    "perturb": ("perturb", "--param", "1,1,2", "--input", "{comp}", "--by", "2,1,1"),
+    "power": ("power", "--param", "1,1,2", "--input", "{comp}", "--c", "0.5"),
+    "dist": ("dist", "--param", "1,1,2", "--input", "{comp}"),
+    "mean": ("mean", "--param", "1,1,2", "--input", "{comp}"),
+    "pca": ("pca", "--param", "1,1,2", "--input", "{comp}"),
+    "sub": ("sub", "--param", "1,1,2", "--input", "{comp}", "--indices", "3,1"),
+    "sample": ("sample", "--param", "1,1,2", "--n", "3"),
+    "density": ("density", "--param", "1,1,2", "--input", "{comp}"),
+    "plot": ("plot", "--param", "1,1,2", "--input", "{comp}"),
+}
+_UNREAD = ([(c, ("--seed", "5")) for c in _BASE if c != "sample"]
+           + [(c, ("--close",)) for c in ("param", "closure", "exp", "sample")]
+           + [(c, ("--input", "{comp}")) for c in ("param", "sample")]
+           + [("plot", ("--format", "json"))])
+
+
+def _fill(tmp_path, argv):
+    files = {"pos": write(tmp_path, "pos.csv", "2,3,5\n1,1,8\n"),
+             "comp": write(tmp_path, "comp.csv", "0.2,0.3,0.5\n0.3,0.3,0.4\n"),
+             "tan": write(tmp_path, "tan.csv", "0.1,-0.1,0\n")}
+    return [a.format(**files) for a in argv]
+
+
+def test_base_invocations_succeed(tmp_path, capsys):
+    assert len(_UNREAD) == 19
+    for command, argv in _BASE.items():
+        code, out, err = run_any(capsys, *_fill(tmp_path, argv))
+        assert code == 0 and out and err == "", command
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD, ids=[f"{c}{f[0]}" for c, f in _UNREAD])
+def test_unread_option_is_a_usage_error(tmp_path, capsys, command, flag):
+    code, out, err = run_any(capsys, *_fill(tmp_path, (*_BASE[command], *flag)))
+    assert code == 1 and out == ""
+    assert err == f"gcoda: error: unrecognized arguments: {' '.join(_fill(tmp_path, flag))}\n"
+
+
+@pytest.mark.parametrize("command", [c for c in _BASE if "--input" in _BASE[c]])
+def test_data_command_requires_input(tmp_path, capsys, command):
+    argv = list(_BASE[command])
+    del argv[argv.index("--input"):argv.index("--input") + 2]
+    code, out, err = run_any(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"gcoda {command}: error: the following arguments are required: --input")
+    assert err.count("\n") == 1
+
+
+def test_sub_requires_indices(tmp_path, capsys):
+    code, out, err = run_any(capsys, *_fill(tmp_path, _BASE["sub"][:-2]))
+    assert code == 1 and out == ""
+    assert err == "gcoda sub: error: the following arguments are required: --indices\n"
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +414,23 @@ def test_plot_escapes_header_labels(tmp_path, capsys):
     root = ElementTree.fromstring(out.encode("utf-8"))
     labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert labels == ["a<b", "c&d", "e>f"]
+
+
+@pytest.mark.parametrize("char", ["\x01", "\x1f", "\ufffe"])
+def test_plot_rejects_label_xml_forbids(tmp_path, capsys, char):
+    path = write(tmp_path, "h.csv", f"a{char}b,c,d\n0.2,0.3,0.5\n")
+    code, out, err = run_cli(capsys, "plot", "--param", "1,1,1", "--input", path)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: label {'a' + char + 'b'!r} holds a character XML 1.0 forbids\n"
+
+
+def test_plot_keeps_tab_and_non_ascii_labels(tmp_path, capsys):
+    path = write(tmp_path, "h.csv", "a\tb,s\u00e4nd,\u7c98\u571f \U0001d465\n0.2,0.3,0.5\n")
+    code, out, _ = run_cli(capsys, "plot", "--param", "1,1,1", "--input", path)
+    assert code == 0
+    root = ElementTree.fromstring(out.encode("utf-8"))
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == ["a\tb", "s\u00e4nd", "\u7c98\u571f \U0001d465"]
 
 
 def test_ternary_svg_unit():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gcoda as g
-from gcoda.geometry import SolverSettings, _newton_logt
+from gcoda import geometry
+from gcoda.geometry import _newton_logt
 from _oracles import (
     clr,
     normalize,
@@ -90,13 +91,6 @@ def test_context_invariants(ctx_gen):
     assert np.abs(g.log_map(ctx_gen, ctx_gen.e_a)).max() <= 1e-12
 
 
-def test_solver_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(f_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(max_iter=0)
-
-
 # ---------------------------------------------------------------------------
 # Closure exponent and closure
 
@@ -176,12 +170,13 @@ def test_closure_residual_across_weight_ratios_and_spreads():
                     assert np.abs(resid).max() <= 1e-11, (ratio, ctx.a.min(), spread)
 
 
-def test_newton_root_on_bracket_end():
+def test_newton_root_on_bracket_end(monkeypatch):
     # one part dominates, so g is linear with slope min(a) and the root
     # sits on an end of the closed-form bracket
     a = np.array([0.1, 1.0, 10.0])
     logx = np.array([[13.69616873, -23.02132862, -45.90264761], [-300.0, -200.0, 13.7]])
-    t = _newton_logt(a, logx, SolverSettings(max_iter=12))
+    monkeypatch.setattr(geometry, "_MAX_ITER", 12)
+    t = _newton_logt(a, logx)
     np.testing.assert_allclose(t, [-logx[0, 0] / 0.1, -logx[1, 2] / 10.0], rtol=1e-14)
 
 
@@ -207,7 +202,7 @@ def test_quadratic_exponent_matches_general_solver():
         a[-1] = 2.0
         logx = rng.uniform(-6, 6, size=(200, dim))
         t_closed = quadratic_exponent(1.0, np.exp(logx))
-        t_newton = _newton_logt(a, logx, SolverSettings())
+        t_newton = _newton_logt(a, logx)
         assert np.abs(t_closed - t_newton).max() < 1e-12
 
 
@@ -216,7 +211,7 @@ def test_uniform_exponent_matches_general_solver():
     a = np.full(4, 1.7)
     logx = rng.uniform(-6, 6, size=(200, 4))
     t_closed = -np.log(np.exp(logx).sum(axis=1)) / 1.7
-    t_newton = _newton_logt(a, logx, SolverSettings())
+    t_newton = _newton_logt(a, logx)
     assert np.abs(t_closed - t_newton).max() < 1e-12
 
 

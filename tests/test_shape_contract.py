@@ -120,3 +120,14 @@ def test_equivalent_compares_one_vector_with_each_row():
     assert g.equivalent(ctx, v, rows).tolist() == [True, False]
     with pytest.raises(g.DimensionMismatch):
         g.equivalent(ctx, rows, np.repeat(rows[:1], 3, axis=0))
+
+
+@pytest.mark.parametrize("name", ["perturb", "inner", "distance", "equivalent"])
+def test_row_matrices_of_different_lengths_are_a_dimension_mismatch(name):
+    # numpy's broadcasting ValueError is not a GcodaError
+    ctx = g.make_context(WEIGHTS["general"])
+    rng = np.random.default_rng(11)
+    two = np.array([_composition(rng, ctx.dim) for _ in range(2)])
+    three = np.array([_composition(rng, ctx.dim) for _ in range(3)])
+    with pytest.raises(g.DimensionMismatch):
+        CASES[name][0](ctx, two, three)
