@@ -127,16 +127,18 @@ def _read_text(path: str, encoding: str) -> str:
 def _read_rows(path: str) -> _Table:
     """Parse a CSV table of floats, with an optional header row.
 
-    Blank lines are skipped; cells are read with Python's ``float()`` grammar.
-    Data rows are parsed in blocks of about ``_BLOCK_CELLS`` cells, each by
-    one numpy cast of its split cells.  Error messages name the file and,
-    for a non-numeric cell, the physical line it sits on.
+    Lines end at newlines only (CRLF and CR read as newlines), so a cell may
+    end in other whitespace such as a form feed.  Blank lines are skipped;
+    cells are read with Python's ``float()`` grammar.  Data rows are parsed
+    in blocks of about ``_BLOCK_CELLS`` cells, each by one numpy cast of its
+    split cells.  Error messages name the file and, for a non-numeric cell,
+    the physical line it sits on.
     """
     try:
         text = _read_text(path, "utf-8-sig")
     except FileNotFoundError:
         raise IngestError(f"input file not found: {path}") from None
-    lines = list(map(str.strip, text.splitlines()))
+    lines = list(map(str.strip, text.split("\n")))
     rows = list(filter(None, lines))
     if not rows:
         raise IngestError(f"no data rows in {path}")
@@ -334,6 +336,9 @@ def _cmd_density(ctx: GeometryContext, args) -> None:
     law = _law_from_args(ctx, args)
     rows, _ = _ingest_compositions(ctx, args)
     dens = gaussian_density(law, rows)
+    zero = np.flatnonzero(dens == 0.0)
+    if zero.size:
+        raise IngestError(f"{args.input}: density of data row {zero[0] + 1} underflows to 0")
     if args.format == "json":
         _emit(json.dumps(_jsonify(dens)) + "\n", args.output)
     else:
@@ -425,7 +430,7 @@ def _build_config(args) -> GeometryContext:
     if args.param:
         vec = _parse_vector(args.param, "--param")
     else:
-        lines = map(str.strip, _read_text(args.param_file, "utf-8").splitlines())
+        lines = map(str.strip, _read_text(args.param_file, "utf-8").split("\n"))
         vec = _parse_vector(",".join(filter(None, lines)), "--param-file")
     return make_context(vec)
 

@@ -246,55 +246,64 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     """Safeguarded Newton on g(t) = logsumexp(logx + a*t), vectorized over rows.
 
     g is smooth, convex and increasing with slope g' in [min a, max a], so from
-    g0 = g(0) the root lies between -g0/min a and -g0/max a.  Newton steps that
-    leave this shrinking bracket fall back to bisection.  The solve converges
-    for every weight vector :func:`make_context` accepts (max a / min a at most
-    ``_MAX_WEIGHT_RATIO``, each weight in [``_MIN_WEIGHT``, ``_MAX_WEIGHT``])
-    and every ``logx`` of positive float64 data (|logx| <= 745).  Far larger
-    |logx| next to a weight near ``_MIN_WEIGHT`` would overflow t itself.
+    g0 = g(0) the root lies between -g0/min a and -g0/max a.  Newton starts at
+    t = 0, reusing g0 and g'(0); by convexity every step lands at or above the
+    root, so the iterates fall monotonically onto it.  The slope bracket stays
+    as a safeguard against rounding: a step that leaves the shrinking bracket
+    (g itself is inexact at large |t|) falls back to bisection.  Only rows not
+    yet converged are iterated.  The solve converges for every weight vector
+    :func:`make_context` accepts (max a / min a at most ``_MAX_WEIGHT_RATIO``,
+    each weight in [``_MIN_WEIGHT``, ``_MAX_WEIGHT``]) and every ``logx`` of
+    positive float64 data (|logx| <= 745).  Far larger |logx| next to a weight
+    near ``_MIN_WEIGHT`` would overflow t itself.
     """
-    def eval_g(t):
+    def eval_g(logx, t):
         w = logx + t[..., None] * a
         wm = w.max(axis=-1)
-        e = np.exp(w - wm[..., None])
-        se = e.sum(axis=-1)
-        return wm + np.log(se), (e @ a) / se
+        w -= wm[..., None]
+        np.exp(w, out=w)
+        se = w.sum(axis=-1)
+        return wm + np.log(se), (w @ a) / se
 
     a_min, a_max = float(a.min()), float(a.max())
-    g0, _ = eval_g(np.zeros(logx.shape[:-1]))
+    t = np.zeros(logx.shape[:-1])
+    g, gp = eval_g(logx, t)
     # Widen g0 by far more than its rounding error, so that a root on an end
     # of the bracket (one part dominating the row) lies strictly inside it.
-    d = 1e-12 * (1.0 + np.abs(g0))
-    lo = np.minimum(-(g0 + d) / a_min, -(g0 + d) / a_max)
-    hi = np.maximum(-(g0 - d) / a_min, -(g0 - d) / a_max)
-    t = -g0 / float(a.mean())
-    g, gp = eval_g(t)
-    lo = np.where(g <= 0, t, lo)
-    hi = np.where(g >= 0, t, hi)
-
+    d = 1e-12 * (1.0 + np.abs(g))
+    lo = np.minimum(-(g + d) / a_min, -(g + d) / a_max)
+    hi = np.maximum(-(g - d) / a_min, -(g - d) / a_max)
     converged = np.abs(g) <= _F_TOL
+    # A batch writes finished rows into out and drops them from the solve; a
+    # single vector stays 0-d throughout and is done all at once.
+    out, rows = t.copy(), np.arange(t.size)
     for _ in range(_MAX_ITER):
         if converged.all():
             break
+        if converged.any():
+            out[rows[converged]] = t[converged]
+            keep = ~converged
+            rows, logx, t, g, gp, lo, hi = (v[keep] for v in (rows, logx, t, g, gp, lo, hi))
         t_new = t - g / gp
-        outside = ~np.isfinite(t_new) | (t_new <= lo) | (t_new >= hi)
-        t_new = np.where(outside, 0.5 * (lo + hi), t_new)
-        t_new = np.where(converged, t, t_new)
+        # Halve before adding: lo + hi overflows when |t| nears float64's maximum.
+        t_new = np.where((t_new > lo) & (t_new < hi), t_new, 0.5 * lo + 0.5 * hi)
         dt = np.abs(t_new - t)
         t = t_new
-        g, gp = eval_g(t)
+        g, gp = eval_g(logx, t)
         below = g < 0
-        lo = np.where(~converged & below, t, lo)
-        hi = np.where(~converged & ~below, t, hi)
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
         # Residual target, or step stagnation at the float64 noise floor
         # (reachable only for inputs with huge log magnitudes).  The floor is
         # relative to |t| plus 1 / max a, one unit of the exponents a * t, so
         # that the test does not pass at once for large weights and tiny t.
-        converged |= np.abs(g) <= _F_TOL
-        converged |= dt <= _T_TOL * (1.0 / a_max + np.abs(t))
+        converged = (np.abs(g) <= _F_TOL) | (dt <= _T_TOL * (1.0 / a_max + np.abs(t)))
     if not converged.all():
         raise NonConvergence(f"{int((~converged).sum())} row(s) did not converge in {_MAX_ITER} iterations")
-    return t
+    if t.ndim == 0:
+        return t
+    out[rows] = t
+    return out
 
 
 def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:

@@ -86,9 +86,10 @@ def test_param_weight_magnitude_rejected(tmp_path, capsys):
         assert err.startswith("gcoda: weight magnitudes") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", ["1\n1\n2\n", "1,1,2", "1,1,2\n\n", "\n1, 1\n  \n2\r\n"])
+@pytest.mark.parametrize("text", ["1\n1\n2\n", "1,1,2", "1,1,2\n\n", "\n1, 1\n  \n2\r\n", "1,1\f,2\n"])
 def test_param_file_layouts(tmp_path, capsys, text):
-    # one weight per line, blank lines and a trailing newline all parse
+    # one weight per line, blank lines and a trailing newline all parse;
+    # lines end at newlines only, so a form feed stays inside its cell
     path = write(tmp_path, "a.txt", text)
     code, out, _ = run_cli(capsys, "param", "--param-file", path)
     assert code == 0 and out.splitlines()[0] == "a = 1,1,2"
@@ -384,6 +385,25 @@ def test_density_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "density", "--param", "1,1,2", "--input", path)
     assert code == 0
     assert float(out.strip()) == pytest.approx(1 / (2 * np.pi), rel=1e-10)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_underflow_names_the_row(tmp_path, capsys, fmt):
+    # far from --mu 40,40 the density is below the smallest float64, at the
+    # law's mean it is not; the first row that underflows is named
+    at_mean = g.from_coords(g.make_context([1, 1, 1]), g.helmert_basis(3), [40.0, 40.0])
+    text = "x,y,z\n" + ",".join(f"{v:.17g}" for v in at_mean) + "\n0.2,0.3,0.5\n0.6,0.3,0.1\n"
+    path = write(tmp_path, "c.csv", text)
+    code, out, err = run_cli(capsys, "density", "--param", "1,1,1", "--mu", "40,40", "--input", path,
+                             "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: {path}: density of data row 2 underflows to 0\n"
+
+
+def test_density_tiny_but_representable(tmp_path, capsys):
+    path = write(tmp_path, "c.csv", "0.2,0.3,0.5\n")
+    code, out, _ = run_cli(capsys, "density", "--param", "1,1,1", "--mu", "20,20", "--input", path)
+    assert code == 0 and out == "9.05525446207e-178\n"
 
 
 def test_plot_svg_structure(tmp_path, capsys):

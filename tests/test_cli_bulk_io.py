@@ -19,7 +19,7 @@ STEP = cli._BLOCK_CELLS // 5  # rows per ingest block of a 5-column file
 
 def ref_read_rows(path):
     text = Path(path).read_text(encoding="utf-8-sig")
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.split("\n"), start=1)]
     lines = [(i, ln) for i, ln in lines if ln]
     if not lines:
         raise IngestError(f"no data rows in {path}")
@@ -168,6 +168,19 @@ def test_ingest_small_files_match_reference(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     got, want = read_both(path)
     assert got == want
+
+
+@pytest.mark.parametrize("ws", ["\f", "\v", "\x85", "\u2028", "\u2029"])
+def test_ingest_breaks_lines_at_newline_only(tmp_path, ws):
+    # whitespace that str.splitlines() also breaks at stays inside its cell
+    path = tmp_path / "w.csv"
+    path.write_text(f"0.2,0.3,0.5\n0.1,0.1{ws},0.8\n0.1,x,0.8\n", encoding="utf-8")
+    got, want = read_both(path)
+    assert got == want == f"{path}:3: non-numeric cell"
+    path.write_text(f"0.2,0.3,0.5\n0.1,0.1{ws},0.8\n", encoding="utf-8")
+    got, want = read_both(path)
+    assert got == want and got[0] == (2, 3)
+    assert cli.main(["log", "--param", "1,1,1", "--input", str(path)]) == 0
 
 
 def _values():

@@ -180,6 +180,47 @@ def test_newton_root_on_bracket_end(monkeypatch):
     np.testing.assert_allclose(t, [-logx[0, 0] / 0.1, -logx[1, 2] / 10.0], rtol=1e-14)
 
 
+def test_batch_solve_matches_rows_solved_alone():
+    # rows finish after different numbers of steps and leave the batch solve;
+    # a row already on the simplex finishes at the start, t = 0
+    ctx = g.make_context([0.5, 1, 1.5, 2, 3])
+    rng = np.random.default_rng(41)
+    lam = rng.dirichlet(np.ones(5))
+    x = np.vstack([np.exp(rng.uniform(-s, s, size=(50, 5))) for s in (5, 700)] + [lam])
+    x = x[rng.permutation(len(x))]
+    t = g.solve_t(ctx, x)
+    alone = np.array([g.solve_t(ctx, row) for row in x])
+    assert t[(x == lam).all(axis=1)].tolist() == [0.0] and g.solve_t(ctx, lam) == 0.0
+    np.testing.assert_allclose(t, alone, rtol=1e-15, atol=0)
+
+
+def test_solve_t_result_types():
+    ctx = g.make_context([0.5, 1, 1.5, 2, 3])
+    x = np.exp(np.random.default_rng(42).uniform(-50, 50, size=(7, 5)))
+    assert type(g.solve_t(ctx, x[0])) is float
+    assert g.solve_t(ctx, x).shape == (7,)
+    assert g.solve_t(ctx, x[:1]).shape == (1,)
+
+
+def test_nonconvergence_counts_rows_left(monkeypatch):
+    # the error counts the rows still unsolved when the budget runs out,
+    # the rows that each fail alone, not the whole batch
+    ctx = g.make_context([0.5, 1, 1.5, 2, 3])
+    rng = np.random.default_rng(43)
+    dominated = np.exp([13.7, -300.0, -200.0, -250.0, -280.0])
+    x = np.vstack([rng.dirichlet(np.ones(5)), dominated, np.exp(rng.uniform(-5, 5, size=(8, 5)))])
+    monkeypatch.setattr(geometry, "_MAX_ITER", 4)
+    left = 0
+    for row in x:
+        try:
+            g.solve_t(ctx, row)
+        except g.NonConvergence:
+            left += 1
+    assert 0 < left < len(x) - 2
+    with pytest.raises(g.NonConvergence, match=rf"^{left} row\(s\) did not converge in 4 iterations$"):
+        g.solve_t(ctx, x)
+
+
 def test_quadratic_guard_falls_back_to_newton(ctx112):
     # outside the closed form's safe magnitude range the general solver takes
     # over; results must still agree with any in-range class representative
