@@ -27,6 +27,7 @@ result of a single vector is a Python ``float`` or ``bool``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,9 @@ QUADRATIC = "quadratic"
 GENERAL = "general"
 
 _PROP_RTOL = 1e-12
-# Above this log-magnitude the quadratic closed form would overflow in the
-# linear domain (S_N**2); fall back to the log-sum-exp Newton path.
+# Beyond this magnitude of max(logx) the quadratic closed form would overflow
+# (S_N**2) or underflow (every part) in the linear domain; fall back to the
+# log-sum-exp Newton path.
 _QUAD_SAFE_LOG = 300.0
 # Largest accepted max(a) / min(a).  Beyond it the smallest weight is zero at
 # float64 precision next to the largest, and the closure solve no longer
@@ -84,6 +86,12 @@ _MAX_WEIGHT_RATIO = 1e16
 # |g0| <= 745 + log N for positive float64 data, and the solve forms products
 # t * a and sums of weights; inside these bounds none of them overflows.
 _MIN_WEIGHT, _MAX_WEIGHT = 1e-300, 1e300
+
+# Largest accepted bound on |t| * max(1, max a) in the closure solve of
+# power and exp_map input, whose logarithms are unbounded.  The solve forms
+# t, t * a and sums and differences of such terms; below an eighth of
+# float64's maximum none of them overflows.
+_MAX_EXPONENT = np.finfo(float).max / 8
 
 _COMPOSITION_SUM_TOL = 1e-9
 _TANGENT_SUM_TOL = 1e-10
@@ -206,6 +214,18 @@ def _check_dim(ctx: GeometryContext, arr: np.ndarray) -> None:
         raise DimensionMismatch(f"expected {ctx.dim} components, got {arr.shape[-1]}")
 
 
+def _check_exponent(ctx: GeometryContext, mag: float, what: str) -> None:
+    """Reject a closure whose solve would overflow float64.
+
+    ``mag`` bounds max|logx| of the vectors to close, as a Python float (so
+    that forming it cannot overflow with a warning).  The solve's exponent t
+    lies within (mag + log N) / min a of zero.
+    """
+    bound = (mag + math.log(ctx.dim)) / float(ctx.a.min()) * max(1.0, float(ctx.a.max()))
+    if not bound <= _MAX_EXPONENT:
+        raise NumericalOverflow(f"{what} = {mag:.3g} is too large: the closure solve would overflow float64")
+
+
 def _pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Operands that pair up: equal shapes, or one vector against every row."""
     if u.ndim == v.ndim and u.shape != v.shape:
@@ -232,7 +252,7 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
     """Row-wise exponent t with logsumexp(logx + a*t) = 0."""
     if fast_path == UNIFORM:
         return -_lse_rows(logx) / a[0]
-    if fast_path == QUADRATIC and logx.max() <= _QUAD_SAFE_LOG:
+    if fast_path == QUADRATIC and abs(logx.max()) <= _QUAD_SAFE_LOG:
         x = np.exp(logx)
         s_head = x[..., :-1].sum(axis=-1)
         # Rationalized positive root of  x_last*y**2 + S*y - 1 = 0, y = e^(ct);
@@ -242,7 +262,7 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
     return _newton_logt(a, logx)
 
 
-def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
+def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Safeguarded Newton on g(t) = logsumexp(logx + a*t), vectorized over rows.
 
     g is smooth, convex and increasing with slope g' in [min a, max a], so from
@@ -255,58 +275,90 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     :func:`make_context` accepts (max a / min a at most ``_MAX_WEIGHT_RATIO``,
     each weight in [``_MIN_WEIGHT``, ``_MAX_WEIGHT``]) and every ``logx`` of
     positive float64 data (|logx| <= 745).  Far larger |logx| next to a weight
-    near ``_MIN_WEIGHT`` would overflow t itself.
+    near ``_MIN_WEIGHT`` would overflow t itself; :func:`power` and
+    :func:`exp_map` reject such input beforehand.
+
+    Each evaluation of g forms ``exp(w - max w)`` and its sum for
+    ``w = logx + a*t``, so the evaluation that converges a row has already
+    computed its closed point ``softmax(logx + a*t)``: that exponential
+    divided by its sum.  Given ``out`` (``logx``'s shape; it may be ``logx``
+    itself), each row's closed point is written there as the row finishes,
+    bit for bit what a separate softmax at the returned t gives.
     """
     def eval_g(logx, t):
-        w = logx + t[..., None] * a
+        # One buffer: a*t, then + logx (the same sum as logx + a*t), then
+        # exp(w - max w) in place.
+        w = np.multiply.outer(t, a)
+        w += logx
         wm = w.max(axis=-1)
         w -= wm[..., None]
         np.exp(w, out=w)
         se = w.sum(axis=-1)
-        return wm + np.log(se), (w @ a) / se
+        return w, se, wm + np.log(se), (w @ a) / se
 
     a_min, a_max = float(a.min()), float(a.max())
     t = np.zeros(logx.shape[:-1])
-    g, gp = eval_g(logx, t)
+    w, se, g, gp = eval_g(logx, t)
     # Widen g0 by far more than its rounding error, so that a root on an end
     # of the bracket (one part dominating the row) lies strictly inside it.
     d = 1e-12 * (1.0 + np.abs(g))
     lo = np.minimum(-(g + d) / a_min, -(g + d) / a_max)
     hi = np.maximum(-(g - d) / a_min, -(g - d) / a_max)
-    converged = np.abs(g) <= _F_TOL
-    # A batch writes finished rows into out and drops them from the solve; a
-    # single vector stays 0-d throughout and is done all at once.
-    out, rows = t.copy(), np.arange(t.size)
-    for _ in range(_MAX_ITER):
-        if converged.all():
-            break
-        if converged.any():
-            out[rows[converged]] = t[converged]
-            keep = ~converged
-            rows, logx, t, g, gp, lo, hi = (v[keep] for v in (rows, logx, t, g, gp, lo, hi))
-        t_new = t - g / gp
-        # Halve before adding: lo + hi overflows when |t| nears float64's maximum.
-        t_new = np.where((t_new > lo) & (t_new < hi), t_new, 0.5 * lo + 0.5 * hi)
-        dt = np.abs(t_new - t)
-        t = t_new
-        g, gp = eval_g(logx, t)
-        below = g < 0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
+    del d  # one float per row that the loop does not need
+    dt = np.inf
+    t_out, rows = t.copy(), np.arange(t.size)
+    for i in range(_MAX_ITER + 1):
         # Residual target, or step stagnation at the float64 noise floor
         # (reachable only for inputs with huge log magnitudes).  The floor is
         # relative to |t| plus 1 / max a, one unit of the exponents a * t, so
         # that the test does not pass at once for large weights and tiny t.
         converged = (np.abs(g) <= _F_TOL) | (dt <= _T_TOL * (1.0 / a_max + np.abs(t)))
-    if not converged.all():
-        raise NonConvergence(f"{int((~converged).sum())} row(s) did not converge in {_MAX_ITER} iterations")
-    if t.ndim == 0:
-        return t
-    out[rows] = t
-    return out
+        if t.ndim == 0:
+            # A single vector stays 0-d and is done all at once.
+            if converged:
+                if out is not None:
+                    np.divide(w, se, out=out)
+                return t
+        else:
+            # A batch writes finished rows out and drops them from the solve.
+            if converged.any():
+                done = rows[converged]
+                t_out[done] = t[converged]
+                if out is not None:
+                    w /= se[..., None]
+                    out[done] = w[converged]
+            if converged.all():
+                return t_out
+        # Free the evaluation before the compaction and the next evaluation allocate.
+        w = se = None
+        if t.ndim and converged.any():
+            keep = ~converged
+            rows, logx, t, g, gp, lo, hi = (v[keep] for v in (rows, logx, t, g, gp, lo, hi))
+        if i == _MAX_ITER:
+            raise NonConvergence(f"{t.size} row(s) did not converge in {_MAX_ITER} iterations")
+        t_new = t - g / gp
+        inside = (t_new > lo) & (t_new < hi)
+        if not inside.all():
+            # Halve before adding: lo + hi overflows when |t| nears float64's maximum.
+            t_new = np.where(inside, t_new, 0.5 * lo + 0.5 * hi)
+        dt = np.abs(t_new - t)
+        t = t_new
+        w, se, g, gp = eval_g(logx, t)
+        below = g < 0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
 
 
 def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:
+    """Closed point(s) of ``exp(logx)``; ``logx`` is the caller's scratch.
+
+    Under general weights the Newton solve writes the closed points over
+    ``logx`` as its rows converge.  The closed forms, and the quadratic's
+    Newton fallback, close in a separate softmax pass.
+    """
+    if ctx.fast_path == GENERAL:
+        _newton_logt(ctx.a, logx, out=logx)
+        return logx
     t = _solve_logt(ctx.a, logx, ctx.fast_path)
     return _softmax_rows(logx + t[..., None] * ctx.a)
 
@@ -381,9 +433,23 @@ def exp_map(ctx: GeometryContext, xi) -> np.ndarray:
     closure derivative maps v back to xi exactly) and closes its
     componentwise exponential.  For uniform weights this is
     ``softmax((N+1) * xi)``.
+
+    The lift needs every part of ``e_a`` to be nonzero.  Weights far apart
+    (such as ``(1e-4, 1, 1e4)``) can give a neutral element with a part that
+    is zero at float64 precision; then :class:`ZeroComponent` names that part.
+    A lift so large that the closure solve would overflow float64, with
+    ``max|xi / e_a|`` beyond about 1e307 for weights near 1 (less for weights
+    far apart or far below 1), raises :class:`NumericalOverflow`.
     """
     arr = as_tangent(xi)
     _check_dim(ctx, arr)
+    if not ctx.e_a.all():
+        part = int(np.argmin(ctx.e_a)) + 1
+        raise ZeroComponent(f"part {part} of the neutral element is zero at float64 precision; exp_map cannot lift through it")
+    # max|xi / e_a| from per-part maxima, in Python floats so that forming it
+    # cannot overflow with a warning
+    part_max = np.abs(arr).reshape(-1, ctx.dim).max(axis=0, initial=0.0)
+    _check_exponent(ctx, max(m / e for m, e in zip(part_max.tolist(), ctx.e_a.tolist())), "max|xi / e_a|")
     return _closure_logx(ctx, arr / ctx.e_a)
 
 
@@ -396,12 +462,18 @@ def perturb(ctx: GeometryContext, lam, mu) -> np.ndarray:
 
 
 def power(ctx: GeometryContext, c: float, lam) -> np.ndarray:
-    """Scalar multiplication: closure of componentwise c-th powers."""
+    """Scalar multiplication: closure of componentwise c-th powers.
+
+    Raises :class:`NumericalOverflow` when ``|c| * max|log lam|`` is so large
+    that the closure solve would overflow float64: beyond about 1e307 for
+    weights near 1, less for weights far apart or far below 1.
+    """
     la = as_composition(lam)
     _check_dim(ctx, la)
-    logx = c * np.log(la)
-    if not np.isfinite(logx).all():
-        raise NumericalOverflow("scalar multiple overflowed the log domain")
+    logx = np.log(la)
+    # Parts are at most 1, so max|log lam| is -min(log lam).
+    _check_exponent(ctx, abs(float(c)) * -float(logx.min(initial=0.0)), "|c| * max|log lam|")
+    logx *= c
     return _closure_logx(ctx, logx)
 
 
@@ -428,15 +500,20 @@ def distance(ctx: GeometryContext, lam, mu):
 
 
 def pairwise_distance(ctx: GeometryContext, rows) -> np.ndarray:
-    """Full m-by-m distance matrix of a row-matrix of compositions."""
+    """Full m-by-m distance matrix of a row-matrix of compositions.
+
+    The matrix is exactly symmetric with an exactly zero diagonal: each of the
+    m(m-1)/2 distances is computed once and written to both of its entries.
+    """
     xi = log_map(ctx, rows).reshape(-1, ctx.dim)
     m = xi.shape[0]
     out = np.zeros((m, m))
     # Direct differencing row by row; the Gram-matrix shortcut loses ~1e-8
-    # of absolute accuracy to cancellation near the diagonal.
-    for i in range(m):
-        out[i] = np.linalg.norm(xi - xi[i], axis=1)
-        out[i, i] = 0.0
+    # of absolute accuracy to cancellation near the diagonal.  Each pair is
+    # computed once, for the strict upper triangle, and mirrored: xi[j] - xi[i]
+    # is bitwise -(xi[i] - xi[j]), so both orders give the same norm.
+    for i in range(m - 1):
+        out[i, i + 1:] = out[i + 1:, i] = np.linalg.norm(xi[i + 1:] - xi[i], axis=1)
     return out
 
 

@@ -208,6 +208,24 @@ def test_power_command(tmp_path, capsys):
     np.testing.assert_allclose(vals, np.array([0.04, 0.09, 0.25]) / 0.38, atol=1e-12)
 
 
+def test_power_overflow_is_one_line(tmp_path, capsys):
+    # c * log(lam) is finite, but t * a in the closure solve would overflow
+    path = write(tmp_path, "c.csv", "0.2,0.3,0.5\n")
+    code, out, err = run_cli(capsys, "power", "--param", "1,2,3", "--input", path, "--c=-1e308")
+    assert code == 2 and out == ""
+    assert err.startswith("gcoda: numerical failure: ") and "too large" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("exp", "--input", "{tan}"), ("sample", "--n", "3"), ("mean", "--input", "{comp}")])
+def test_neutral_element_zero_part_is_one_line(tmp_path, capsys, argv):
+    # weights (1e-4, 1, 1e4) give e_a = (0.99928, 7.2e-4, 0.0): exp_map cannot lift
+    files = {"{tan}": write(tmp_path, "t.csv", "0.1,-0.1,0\n"), "{comp}": write(tmp_path, "c.csv", "0.2,0.3,0.5\n")}
+    argv = [files.get(v, v) for v in argv]
+    code, out, err = run_cli(capsys, argv[0], "--param", "1e-4,1,1e4", *argv[1:])
+    assert code == 1 and out == ""
+    assert err == "gcoda: part 3 of the neutral element is zero at float64 precision; exp_map cannot lift through it\n"
+
+
 def test_dist_single_row(tmp_path, capsys):
     path = write(tmp_path, "c.csv", "0.2,0.3,0.5\n")
     code, out, _ = run_cli(capsys, "dist", "--param", "1,1,1", "--input", path)

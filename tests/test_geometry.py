@@ -200,6 +200,7 @@ def test_solve_t_result_types():
     assert type(g.solve_t(ctx, x[0])) is float
     assert g.solve_t(ctx, x).shape == (7,)
     assert g.solve_t(ctx, x[:1]).shape == (1,)
+    assert g.solve_t(ctx, x[:0]).shape == (0,) and g.closure(ctx, x[:0]).shape == (0, 5)
 
 
 def test_nonconvergence_counts_rows_left(monkeypatch):
@@ -221,6 +222,80 @@ def test_nonconvergence_counts_rows_left(monkeypatch):
         g.solve_t(ctx, x)
 
 
+BITWISE_WEIGHTS = ((0.5, 1, 1.5, 2, 3), (1, 2, 3), (1e-8, 1, 1e8))
+
+
+def closed_ref(ctx, logx):
+    # solve t, then close in a separate softmax pass at it
+    t = geometry._solve_logt(ctx.a, logx, ctx.fast_path)
+    w = logx + t[..., None] * ctx.a
+    e = np.exp(w - w.max(axis=-1)[..., None])
+    return e / e.sum(axis=-1)[..., None]
+
+
+@pytest.mark.parametrize("a", BITWISE_WEIGHTS)
+def test_closures_match_separate_softmax_bitwise(a):
+    # the solve's last evaluation gives each row's closed point; it must be
+    # bit for bit the softmax at the solved t, in a batch whose rows finish
+    # after different numbers of steps and for single vectors
+    ctx = g.make_context(a)
+    rng = np.random.default_rng(46)
+    n = ctx.dim
+
+    def batch(spreads):
+        rows = np.vstack([rng.uniform(-s, s, size=(30, n)) for s in spreads])
+        return rows[rng.permutation(len(rows))]
+
+    x = np.exp(batch((5, 700)))
+    # compositions with log-ratios up to 700 between parts
+    lam = g.closure(g.make_context(np.ones(n)), np.exp(batch((2.5, 350))))
+    mu = g.closure(g.make_context(np.ones(n)), np.exp(batch((2.5, 350))))
+    xi = g.log_map(ctx, lam)
+    la, mu_ = g.as_composition(lam), g.as_composition(mu)
+    cases = [
+        (g.closure, (x,), lambda: np.log(x)),
+        (g.exp_map, (xi,), lambda: xi / ctx.e_a),
+        (g.perturb, (lam, mu), lambda: np.log(la) + np.log(mu_)),
+        (lambda c, v: g.power(c, 1.7, v), (lam,), lambda: 1.7 * np.log(la)),
+        (lambda c, v: g.power(c, -2.3, v), (lam,), lambda: -2.3 * np.log(la)),
+    ]
+    if not ctx.e_a.all():
+        # (1e-8, 1, 1e8): e_a has a part that is zero at float64 precision,
+        # so exp_map has no lift to close
+        with pytest.raises(g.ZeroComponent):
+            g.exp_map(ctx, xi)
+        del cases[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op, args, logx in cases:
+            before = [v.copy() for v in args]
+            got = op(ctx, *args)
+            assert np.array_equal(got, closed_ref(ctx, logx())), op
+            for v, v0 in zip(args, before):
+                assert np.array_equal(v, v0)
+            for i in range(4):
+                row_args = [v[i] for v in args]
+                single = op(ctx, *row_args)
+                assert single.shape == (n,)
+                assert np.array_equal(single, closed_ref(ctx, logx()[i]))
+                assert np.array_equal(single, got[i])
+                for v, v0 in zip(row_args, before):
+                    assert np.array_equal(v, v0[i])
+
+
+def test_quadratic_closed_form_guard_both_sides(ctx112):
+    # every part underflows in the linear domain: the closed form would
+    # divide by zero, so the Newton solve takes over
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = g.power(ctx112, 1e300, [0.2, 0.3, 0.5])
+        tiny = g.closure(ctx112, [1e-320, 2e-320, 3e-320])
+    assert np.isfinite(out).all() and abs(out.sum() - 1.0) <= 1e-12 and out.argmax() == 2
+    x = np.array([1e-320, 2e-320, 3e-320])
+    t = g.solve_t(ctx112, x)
+    np.testing.assert_allclose(tiny, np.exp(np.log(x) + t * ctx112.a), rtol=1e-12)
+
+
 def test_quadratic_guard_falls_back_to_newton(ctx112):
     # outside the closed form's safe magnitude range the general solver takes
     # over; results must still agree with any in-range class representative
@@ -234,6 +309,37 @@ def test_quadratic_guard_falls_back_to_newton(ctx112):
 def test_power_overflow_reported(ctx112):
     with pytest.raises(g.NumericalOverflow):
         g.power(ctx112, float("inf"), [0.2, 0.3, 0.5])
+
+
+def test_power_huge_scalar_closes_or_overflows():
+    # every case either closes cleanly or raises NumericalOverflow: no
+    # RuntimeWarning from c * log(lam) or from t * a in the closure solve
+    lams = ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.98, 0.01, 0.01])
+    scalars = [s * m for m in (1e300, 1e306, 1e307, 1e308) for s in (1, -1)]
+    closed = overflowed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in ((0.5, 1, 1.5), (1, 2, 3), (0.1, 1, 10), (1, 1, 2), (1, 1, 1)):
+            ctx = g.make_context(a)
+            for c in scalars:
+                for lam in lams:
+                    try:
+                        out = g.power(ctx, c, lam)
+                    except g.NumericalOverflow as exc:
+                        assert "too large" in str(exc) and "\n" not in str(exc)
+                        overflowed += 1
+                        continue
+                    assert np.isfinite(out).all() and abs(out.sum() - 1.0) <= 1e-12, (a, c, lam)
+                    closed += 1
+        # weights near the lower magnitude bound overflow t itself at |c| = 1e16
+        ctx = g.make_context(1e-300 * np.arange(1.0, 6.0))
+        lam = np.random.default_rng(45).dirichlet(np.ones(5), size=50)
+        for c in (1e16, -1e16):
+            with pytest.raises(g.NumericalOverflow):
+                g.power(ctx, c, lam)
+        np.testing.assert_allclose(g.power(ctx, 1e4, lam).sum(axis=1), 1.0, atol=1e-12)
+    # c = 1e300 closes on every composition; |c| = 1e308 overflows on every one
+    assert closed >= 5 * 2 * 4 and overflowed >= 5 * 2 * 4
 
 
 def test_quadratic_exponent_matches_general_solver():
@@ -343,6 +449,37 @@ def test_exp_map_rejects_nonzero_sum(ctx1):
         g.exp_map(ctx1, [0.5, 0.2, 0.1])
 
 
+def test_exp_map_neutral_element_with_zero_part():
+    # weight ratio 1e8 is accepted, but the neutral element's last part is
+    # exactly zero at float64 precision, so xi / e_a cannot be formed
+    ctx = g.make_context([1e-4, 1, 1e4])
+    assert ctx.e_a[2] == 0.0 and (ctx.e_a[:2] > 0).all()
+    lam = np.array([0.2, 0.3, 0.5])
+    assert np.isfinite(g.log_map(ctx, lam)).all()
+    assert g.distance(ctx, lam, [0.5, 0.3, 0.2]) > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in ([0.1, -0.1, 0.0], np.zeros((4, 3))):
+            with pytest.raises(g.ZeroComponent, match=r"^part 3 of the neutral element is zero"):
+                g.exp_map(ctx, xi)
+
+
+def test_exp_map_lift_overflow_reported():
+    ctx = g.make_context([1, 2, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(g.NumericalOverflow, match="too large"):
+            g.exp_map(ctx, [1e307, -1e307, 0.0])
+        np.testing.assert_allclose(g.exp_map(ctx, [1e3, -1e3, 0.0]).sum(), 1.0, atol=1e-12)
+        # a tiny part of e_a scales its own component of the lift past the bound
+        tiny = g.make_context([1e-4, 1, 95])
+        assert 0 < tiny.e_a[2] < 1e-298
+        with pytest.raises(g.NumericalOverflow, match="too large"):
+            g.exp_map(tiny, [1e5, 0.0, -1e5])
+        for xi in ([1e5, -1e5, 0.0], [1.0, 0.0, -1.0]):
+            np.testing.assert_allclose(g.exp_map(tiny, xi).sum(), 1.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Group operations on the simplex
 
@@ -438,14 +575,26 @@ def test_distance_is_tangent_euclidean(ctx_gen):
     assert np.abs(d - e).max() < 1e-14
 
 
+def pairwise_distance_ref(ctx, rows):
+    # every ordered pair differenced on its own, row by row
+    xi = g.log_map(ctx, rows)
+    out = np.zeros((len(xi), len(xi)))
+    for i in range(len(xi)):
+        out[i] = np.linalg.norm(xi - xi[i], axis=1)
+        out[i, i] = 0.0
+    return out
+
+
 def test_pairwise_distance(ctx_gen):
     rng = np.random.default_rng(19)
-    lam = random_compositions(rng, 10, 4)
-    M = g.pairwise_distance(ctx_gen, lam)
-    assert M.shape == (10, 10)
-    assert np.abs(M - M.T).max() < 1e-14
-    assert np.abs(np.diag(M)).max() < 1e-12
-    assert abs(M[2, 7] - g.distance(ctx_gen, lam[2], lam[7])) < 1e-12
+    for ctx, m in ((ctx_gen, 10), (g.make_context(np.ones(51)), 40), (g.make_context(random_weights(rng, 51)), 40)):
+        lam = random_compositions(rng, m, ctx.dim)
+        M = g.pairwise_distance(ctx, lam)
+        assert M.shape == (m, m)
+        assert np.array_equal(M, M.T)
+        assert not np.diag(M).any()
+        assert np.array_equal(M, pairwise_distance_ref(ctx, lam))
+        assert abs(M[2, 7] - g.distance(ctx, lam[2], lam[7])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
