@@ -191,7 +191,7 @@ def as_composition(lam) -> np.ndarray:
     """
     arr = as_positive(lam)
     sums = arr.sum(axis=-1, keepdims=True)
-    if np.max(np.abs(sums - 1.0)) > _COMPOSITION_SUM_TOL:
+    if (np.abs(sums - 1.0) > _COMPOSITION_SUM_TOL).any():
         raise NotOnSimplex("components must sum to 1 (within 1e-9)")
     return arr / sums
 
@@ -252,7 +252,9 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
     """Row-wise exponent t with logsumexp(logx + a*t) = 0."""
     if fast_path == UNIFORM:
         return -_lse_rows(logx) / a[0]
-    if fast_path == QUADRATIC and abs(logx.max()) <= _QUAD_SAFE_LOG:
+    # An empty batch's max is -inf, so it skips the closed form; the identity
+    # leaves the max of every non-empty input as it is.
+    if fast_path == QUADRATIC and abs(logx.max(initial=-np.inf)) <= _QUAD_SAFE_LOG:
         x = np.exp(logx)
         s_head = x[..., :-1].sum(axis=-1)
         # Rationalized positive root of  x_last*y**2 + S*y - 1 = 0, y = e^(ct);
@@ -284,7 +286,13 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None)
     divided by its sum.  Given ``out`` (``logx``'s shape; it may be ``logx``
     itself), each row's closed point is written there as the row finishes,
     bit for bit what a separate softmax at the returned t gives.
+
+    A single vector runs the same arithmetic in :func:`_newton_vector`, with
+    its scalars as Python floats, so it gives the bits of its one-row batch.
     """
+    if logx.ndim == 1:
+        return _newton_vector(a, logx, out)
+
     def eval_g(logx, t):
         # One buffer: a*t, then + logx (the same sum as logx + a*t), then
         # exp(w - max w) in place.
@@ -313,25 +321,18 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None)
         # relative to |t| plus 1 / max a, one unit of the exponents a * t, so
         # that the test does not pass at once for large weights and tiny t.
         converged = (np.abs(g) <= _F_TOL) | (dt <= _T_TOL * (1.0 / a_max + np.abs(t)))
-        if t.ndim == 0:
-            # A single vector stays 0-d and is done all at once.
-            if converged:
-                if out is not None:
-                    np.divide(w, se, out=out)
-                return t
-        else:
-            # A batch writes finished rows out and drops them from the solve.
-            if converged.any():
-                done = rows[converged]
-                t_out[done] = t[converged]
-                if out is not None:
-                    w /= se[..., None]
-                    out[done] = w[converged]
-            if converged.all():
-                return t_out
+        # Finished rows are written out and dropped from the solve.
+        if converged.any():
+            done = rows[converged]
+            t_out[done] = t[converged]
+            if out is not None:
+                w /= se[..., None]
+                out[done] = w[converged]
+        if converged.all():
+            return t_out
         # Free the evaluation before the compaction and the next evaluation allocate.
         w = se = None
-        if t.ndim and converged.any():
+        if converged.any():
             keep = ~converged
             rows, logx, t, g, gp, lo, hi = (v[keep] for v in (rows, logx, t, g, gp, lo, hi))
         if i == _MAX_ITER:
@@ -347,6 +348,51 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None)
         below = g < 0
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
+
+
+def _newton_vector(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None) -> np.float64:
+    """:func:`_newton_logt` for one vector ``logx``.
+
+    Numpy evaluates g over the parts with the batch's operations in the
+    batch's order; t, g, g', the bracket and the steps are Python floats,
+    whose arithmetic is the same IEEE binary64 as numpy's.  ``np.log`` stays
+    numpy's, which ``math.log`` may differ from in the last bit.  t is
+    returned as a numpy scalar, which broadcasts like the batch's t.
+    """
+    def eval_g(t):
+        w = a * t
+        w += logx
+        wm = w.max()
+        w -= wm
+        np.exp(w, out=w)
+        se = w.sum()
+        return w, se, float(wm + np.log(se)), float((w @ a) / se)
+
+    a_min, a_max = float(a.min()), float(a.max())
+    t = 0.0
+    w, se, g, gp = eval_g(t)
+    d = 1e-12 * (1.0 + abs(g))
+    lo = min(-(g + d) / a_min, -(g + d) / a_max)
+    hi = max(-(g - d) / a_min, -(g - d) / a_max)
+    dt = math.inf
+    for i in range(_MAX_ITER + 1):
+        if abs(g) <= _F_TOL or dt <= _T_TOL * (1.0 / a_max + abs(t)):
+            if out is not None:
+                np.divide(w, se, out=out)
+            return np.float64(t)
+        if i == _MAX_ITER:
+            raise NonConvergence(f"1 row(s) did not converge in {_MAX_ITER} iterations")
+        t_new = t - g / gp
+        # False for a NaN step, as the batch's test is.
+        if not lo < t_new < hi:
+            t_new = 0.5 * lo + 0.5 * hi
+        dt = abs(t_new - t)
+        t = t_new
+        w, se, g, gp = eval_g(t)
+        if g < 0:
+            lo = t
+        else:
+            hi = t
 
 
 def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:

@@ -40,7 +40,10 @@ def frechet_mean(ctx: GeometryContext, rows) -> np.ndarray:
     minimizer is unique and equals the exp of the arithmetic mean of the
     log-map images (the group-operation sample mean).
     """
-    return exp_map(ctx, log_map(ctx, np.atleast_2d(rows)).mean(axis=0))
+    xi = log_map(ctx, np.atleast_2d(rows))
+    if xi.shape[0] == 0:
+        raise DimensionMismatch("the mean needs at least one row")
+    return exp_map(ctx, xi.mean(axis=0))
 
 
 def _centred_coords(ctx: GeometryContext, basis: TangentBasis, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -283,6 +283,84 @@ def test_closures_match_separate_softmax_bitwise(a):
                     assert np.array_equal(v, v0[i])
 
 
+RATIOS, SPREADS = (1e2, 1e4, 1e8, 1e12, 1e16), (5, 50, 300, 700)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_vector_solve_matches_one_row_batch_bitwise(ratio):
+    # a single vector's solve keeps its scalars as Python floats; it must
+    # give the bits of the array solve of its one-row batch, closed point
+    # included.  The rows are every 40th of the residual test's draws above;
+    # at ratio 1e16 and spread 700 they include row 360, where the first two
+    # weight vectors take a bisection step.  (A row of a larger batch may
+    # differ in the last bit: there g' comes from a matrix-vector product.)
+    rng = np.random.default_rng(72)
+    draws = [rng.uniform(-s, s, size=(2000, 3)) for _ in RATIOS for s in SPREADS]
+    weights = (
+        [ratio**-0.5, 1.0, ratio**0.5],
+        1e-300 * np.array([1.0, ratio**0.5, ratio]),
+        1e300 * np.array([1.0 / ratio, ratio**-0.5, 1.0]),
+    )
+    k = RATIOS.index(ratio) * len(SPREADS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in weights:
+            ctx = g.make_context(a)
+            for logx in draws[k:k + len(SPREADS)]:
+                for row in logx[::40]:
+                    closed, closed_batch = np.empty(3), np.empty((1, 3))
+                    t = _newton_logt(ctx.a, row, out=closed)
+                    t_batch = _newton_logt(ctx.a, row[None], out=closed_batch)
+                    assert t.tobytes() == t_batch.tobytes() and closed.tobytes() == closed_batch.tobytes()
+                    x = np.exp(row)
+                    assert g.solve_t(ctx, x) == g.solve_t(ctx, x[None])[0]
+                    assert g.closure(ctx, x).tobytes() == g.closure(ctx, x[None]).tobytes()
+
+
+def test_vector_nonconvergence_names_one_row(monkeypatch):
+    ctx = g.make_context([0.5, 1, 1.5, 2, 3])
+    x = np.exp(np.random.default_rng(44).uniform(-5, 5, size=5))  # converges in 3 iterations
+    monkeypatch.setattr(geometry, "_MAX_ITER", 2)
+    for v in (x, x[None]):
+        with pytest.raises(g.NonConvergence, match=r"^1 row\(s\) did not converge in 2 iterations$"):
+            g.solve_t(ctx, v)
+
+
+EMPTY_OPS = {
+    "solve_t": (lambda ctx, e: g.solve_t(ctx, e), (0,)),
+    "closure": (lambda ctx, e: g.closure(ctx, e), (0, 3)),
+    "log_map": (lambda ctx, e: g.log_map(ctx, e), (0, 3)),
+    "exp_map": (lambda ctx, e: g.exp_map(ctx, e), (0, 3)),
+    "perturb": (lambda ctx, e: g.perturb(ctx, e, e), (0, 3)),
+    "power": (lambda ctx, e: g.power(ctx, 2.0, e), (0, 3)),
+    "invert": (lambda ctx, e: g.invert(ctx, e), (0, 3)),
+    "inner": (lambda ctx, e: g.inner(ctx, e, e), (0,)),
+    "norm": (lambda ctx, e: g.norm(ctx, e), (0,)),
+    "distance": (lambda ctx, e: g.distance(ctx, e, e), (0,)),
+    "pairwise_distance": (lambda ctx, e: g.pairwise_distance(ctx, e), (0, 0)),
+    "equivalent": (lambda ctx, e: g.equivalent(ctx, e, e), (0,)),
+    "coords": (lambda ctx, e: g.coords(ctx, g.helmert_basis(3), e), (0, 2)),
+    "from_coords": (lambda ctx, e: g.from_coords(ctx, g.helmert_basis(3), e[:, :2]), (0, 3)),
+}
+
+
+@pytest.mark.parametrize("a", ((1, 1, 1), (1, 1, 2), (1, 2, 3)))
+@pytest.mark.parametrize("name", [*EMPTY_OPS, "frechet_mean"])
+def test_empty_batch(name, a):
+    # a row-wise operation maps zero rows to an empty result; the mean of
+    # zero rows does not exist
+    ctx = g.make_context(a)
+    empty = np.empty((0, 3))
+    if name == "frechet_mean":
+        with pytest.raises(g.DimensionMismatch, match="at least one row"):
+            g.frechet_mean(ctx, empty)
+        return
+    op, shape = EMPTY_OPS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.shape(op(ctx, empty)) == shape
+
+
 def test_quadratic_closed_form_guard_both_sides(ctx112):
     # every part underflows in the linear domain: the closed form would
     # divide by zero, so the Newton solve takes over
