@@ -1,13 +1,17 @@
 """Paired benchmark runs: a git revision against the working tree.
 
-Exports REV with ``git archive`` to a temporary directory outside the
-repository and runs ``bench/run.py --workload W --seed S+i --trace 0
---seconds <run_seconds>`` on REV and on the working tree for pair i = 0 ..
-N-1, alternating which side runs first.  For every end-to-end metric in
-BENCHMARK.json it prints both sides' medians and quartiles and the change's
-wins out of all pairs (a tie counts for neither side), and whether the gain
-rule holds: the change wins at least nine tenths of the pairs and its median
-is better than REV's by more than REV's interquartile range.  Stdlib only.
+Exports REV with ``git archive``, and copies the working tree's files that
+git does not ignore, to two temporary directories outside the repository.
+Runs ``bench/run.py --workload W --seed S+i --trace 0 --seconds
+<run_seconds>`` in each for pair i = 0 .. N-1, alternating which side runs
+first.  Both sides run from fresh copies so that they differ only in their
+files: the cli-* workloads start their children in the tree, and on
+identical code cli-write read 3% slower run from the repository itself than
+from a fresh export.  For every end-to-end metric in BENCHMARK.json it
+prints both sides' medians and quartiles and the change's wins out of all
+pairs (a tie counts for neither side), and whether the gain rule holds: the
+change wins at least nine tenths of the pairs and its median is better than
+REV's by more than REV's interquartile range.  Stdlib only.
 
 Usage: python3 scripts/bench_pairs.py HEAD --workload lib-newton --pairs 10 --seed 5101
 """
@@ -15,6 +19,7 @@ Usage: python3 scripts/bench_pairs.py HEAD --workload lib-newton --pairs 10 --se
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,6 +67,17 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def copy_worktree(dest: Path) -> None:
+    """The working tree's tracked and untracked files, except those git ignores."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, check=True, capture_output=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        src = ROOT / name
+        if src.is_file():  # a deleted but still tracked file is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
 def report(spec: list[dict], parent: list[dict], change: list[dict]) -> str:
     n = len(parent)
     lines = [f"{'metric':<14} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'change %':>9} {'wins':>6}  gain"]
@@ -93,11 +109,12 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     parent, change = [], []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base = Path(tmp)
+        base, head = Path(tmp) / "parent", Path(tmp) / "change"
         export(args.rev, base)
+        copy_worktree(head)
         for i in range(args.pairs):
             seed = args.seed + i
-            sides = [("parent", base, parent), ("change", ROOT, change)]
+            sides = [("parent", base, parent), ("change", head, change)]
             for label, tree, results in sides if i % 2 == 0 else sides[::-1]:
                 print(f"bench_pairs: pair {i + 1}/{args.pairs} seed {seed} {label}", file=sys.stderr)
                 results.append(run(tree, args.workload, seed, seconds))

@@ -327,17 +327,17 @@ def test_vector_nonconvergence_names_one_row(monkeypatch):
 
 
 EMPTY_OPS = {
-    "solve_t": (lambda ctx, e: g.solve_t(ctx, e), (0,)),
-    "closure": (lambda ctx, e: g.closure(ctx, e), (0, 3)),
-    "log_map": (lambda ctx, e: g.log_map(ctx, e), (0, 3)),
-    "exp_map": (lambda ctx, e: g.exp_map(ctx, e), (0, 3)),
+    "solve_t": (g.solve_t, (0,)),
+    "closure": (g.closure, (0, 3)),
+    "log_map": (g.log_map, (0, 3)),
+    "exp_map": (g.exp_map, (0, 3)),
     "perturb": (lambda ctx, e: g.perturb(ctx, e, e), (0, 3)),
     "power": (lambda ctx, e: g.power(ctx, 2.0, e), (0, 3)),
-    "invert": (lambda ctx, e: g.invert(ctx, e), (0, 3)),
+    "invert": (g.invert, (0, 3)),
     "inner": (lambda ctx, e: g.inner(ctx, e, e), (0,)),
-    "norm": (lambda ctx, e: g.norm(ctx, e), (0,)),
+    "norm": (g.norm, (0,)),
     "distance": (lambda ctx, e: g.distance(ctx, e, e), (0,)),
-    "pairwise_distance": (lambda ctx, e: g.pairwise_distance(ctx, e), (0, 0)),
+    "pairwise_distance": (g.pairwise_distance, (0, 0)),
     "equivalent": (lambda ctx, e: g.equivalent(ctx, e, e), (0,)),
     "coords": (lambda ctx, e: g.coords(ctx, g.helmert_basis(3), e), (0, 2)),
     "from_coords": (lambda ctx, e: g.from_coords(ctx, g.helmert_basis(3), e[:, :2]), (0, 3)),
