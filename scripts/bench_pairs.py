@@ -52,12 +52,12 @@ def gain_holds(parent: list[float], change: list[float], better: str) -> bool:
     return 10 * wins(parent, change, better) >= 9 * len(parent) and gap > q3 - q1
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one end-to-end benchmark run in ``tree``."""
+def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The info line and the result line of one end-to-end benchmark run in ``tree``."""
     cmd = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    lines = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout.splitlines()
+    return json.loads(lines[-2])["bench"], json.loads(lines[-1])
 
 
 def export(rev: str, dest: Path) -> None:
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
             sides = [("parent", base, parent), ("change", head, change)]
             for label, tree, results in sides if i % 2 == 0 else sides[::-1]:
                 print(f"bench_pairs: pair {i + 1}/{args.pairs} seed {seed} {label}", file=sys.stderr)
-                results.append(run(tree, args.workload, seed, seconds))
+                results.append(run(tree, args.workload, seed, seconds)[1])
     print(f"{args.workload}: {args.rev} (parent) vs working tree (change), {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}")
     print(report(bench["end_to_end"], parent, change))
     return 0

@@ -1,12 +1,16 @@
 """Benchmark snapshot: each end-to-end metric's median per workload over fixed seeds.
 
-Runs ``python3 bench/run.py --workload W --seed S --seconds 16 --trace 0`` for
-every workload declared in BENCHMARK.json on seeds 1, 2 and 3, one run at a
-time, and writes one JSON file.  For each workload it holds every metric's
-median with its unit and the three run values, and the operation counts; the
-environment comes from the benchmark's info line.  Committed snapshots
-(``BENCH_<n>.json``) form the project's performance trajectory: diff two of
-them to see what a change moved.  Takes about five minutes on 2 vCPUs.
+Copies the working tree's files that git does not ignore to a temporary
+directory outside the repository, as ``scripts/bench_pairs.py`` does for its
+change side, and there runs ``python3 bench/run.py --workload W --seed S
+--seconds <run_seconds> --trace 0`` for every workload declared in
+BENCHMARK.json on seeds 1, 2 and 3, one run at a time.  Writes one JSON
+file.  For each workload it holds every metric's median with its unit and
+the three run values, and the operation counts; the environment comes from
+the benchmark's info line; the copy has no git metadata, so its ``commit`` is
+null and ``source_sha256`` names the ``src/gcoda`` that ran.  Committed snapshots (``BENCH_<n>.json``) form the
+project's performance trajectory: diff two of them to see what a change
+moved.  Takes about five minutes on 2 vCPUs.
 
 Usage: python3 scripts/bench_snapshot.py BENCH_<n>.json
 """
@@ -14,21 +18,13 @@ Usage: python3 scripts/bench_snapshot.py BENCH_<n>.json
 import argparse
 import json
 import statistics
-import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_pairs import ROOT, copy_worktree, run
+
 SEEDS = (1, 2, 3)
-SECONDS = 16
-
-
-def run(workload: str, seed: int) -> tuple[dict, dict]:
-    """The info line and the result line of one benchmark run."""
-    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-    lines = subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True, text=True).stdout.splitlines()
-    return json.loads(lines[-2])["bench"], json.loads(lines[-1])
 
 
 def summarize(runs: list[tuple[dict, dict]]) -> dict:
@@ -53,18 +49,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     env = None
     workloads = {}
-    for workload in (w["name"] for w in spec["workloads"]):
-        runs = []
-        for seed in SEEDS:
-            print(f"bench_snapshot: {workload} seed {seed}", file=sys.stderr)
-            runs.append(run(workload, seed))
-        workloads[workload] = summarize(runs)
-        if env is None:
-            env = {k: v for k, v in runs[0][0]["env"].items() if k != "seed"}
+    with tempfile.TemporaryDirectory(prefix="bench-snapshot-") as tmp:
+        tree = Path(tmp)
+        copy_worktree(tree)
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs = []
+            for seed in SEEDS:
+                print(f"bench_snapshot: {workload} seed {seed}", file=sys.stderr)
+                runs.append(run(tree, workload, seed, seconds))
+            workloads[workload] = summarize(runs)
+            if env is None:
+                env = {k: v for k, v in runs[0][0]["env"].items() if k != "seed"}
     snapshot = {
-        "command": f"python3 bench/run.py --trace 0 --seconds {SECONDS:g}",
+        "command": f"python3 bench/run.py --trace 0 --seconds {seconds:g}",
         "seeds": list(SEEDS),
         "env": env,
         "workloads": workloads,

@@ -16,18 +16,6 @@ from .errors import DimensionMismatch, NonPositiveValue, NumericalOverflow
 __all__ = ["as_positive", "as_free", "oplus", "odot", "amb_exp", "amb_log"]
 
 
-def as_positive(x) -> np.ndarray:
-    """Validate ``x`` as one strictly positive vector or a row-matrix of them."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
-        raise DimensionMismatch(f"expected a vector of >= 2 components, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonPositiveValue("components must be finite")
-    if not (arr > 0).all():
-        raise NonPositiveValue("components must be strictly positive")
-    return arr
-
-
 def as_free(v) -> np.ndarray:
     """Validate ``v`` as an unconstrained coordinate vector (or row-matrix)."""
     arr = np.asarray(v, dtype=float)
@@ -35,6 +23,14 @@ def as_free(v) -> np.ndarray:
         raise DimensionMismatch(f"expected a vector of >= 2 components, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonPositiveValue("components must be finite")
+    return arr
+
+
+def as_positive(x) -> np.ndarray:
+    """Validate ``x`` as one strictly positive vector or a row-matrix of them."""
+    arr = as_free(x)
+    if not (arr > 0).all():
+        raise NonPositiveValue("components must be strictly positive")
     return arr
 
 

@@ -90,18 +90,20 @@ def _jsonify(obj):
     return obj
 
 
+def _json(obj) -> str:
+    return json.dumps(_jsonify(obj)) + "\n"
+
+
+def _table(args, arr: np.ndarray) -> str:
+    """``arr`` as CSV rows, or under ``--format json`` as a list of rows."""
+    return _json(np.atleast_2d(arr)) if args.format == "json" else _rows_csv(arr)
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
         Path(output).write_text(text, encoding="utf-8")
-
-
-def _emit_rows(args, arr: np.ndarray) -> None:
-    if args.format == "json":
-        _emit(json.dumps(_jsonify(np.atleast_2d(arr))) + "\n", args.output)
-    else:
-        _emit(_rows_csv(arr), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +192,13 @@ def _ingest_compositions(ctx: GeometryContext, args) -> _Table:
     rows, columns = _ingest_positive(args.input)
     sums = rows.sum(axis=1)
     off = np.abs(sums - 1.0) > _COMPOSITION_SUM_TOL
+    out = rows / sums[:, None]
     if off.any():
         if not args.close:
             bad = int(np.flatnonzero(off)[0]) + 1
             raise IngestError(f"{args.input}: data row {bad} does not sum to 1 (pass --close to project)")
-        return closure(ctx, rows), columns
-    return rows / sums[:, None], columns
+        out[off] = closure(ctx, rows[off])
+    return out, columns
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
@@ -243,7 +246,7 @@ def ternary_svg(rows: np.ndarray, labels: tuple[str, str, str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns the text the CLI writes.
 
 def _law_from_args(ctx: GeometryContext, args):
     n = ctx.dim - 1
@@ -255,50 +258,49 @@ def _law_from_args(ctx: GeometryContext, args):
     return make_gaussian(ctx, helmert_basis(ctx.dim), mu, sigma)
 
 
-def _cmd_param(ctx: GeometryContext, args) -> None:
+def _cmd_param(ctx: GeometryContext, args) -> str:
     if args.format == "json":
-        _emit(json.dumps(_jsonify({"a": ctx.a, "e_a": ctx.e_a, "s": ctx.s})) + "\n", args.output)
-    else:
-        _emit(f"a = {_rows_csv(ctx.a)}e_a = {_rows_csv(ctx.e_a)}s = {ctx.s:.12g}\n", args.output)
+        return _json({"a": ctx.a, "e_a": ctx.e_a, "s": ctx.s})
+    return f"a = {_rows_csv(ctx.a)}e_a = {_rows_csv(ctx.e_a)}s = {ctx.s:.12g}\n"
 
 
-def _cmd_closure(ctx: GeometryContext, args) -> None:
+def _cmd_closure(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_positive(args.input)
-    _emit_rows(args, closure(ctx, rows))
+    return _table(args, closure(ctx, rows))
 
 
-def _cmd_log(ctx: GeometryContext, args) -> None:
+def _cmd_log(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_compositions(ctx, args)
-    _emit_rows(args, log_map(ctx, rows))
+    return _table(args, log_map(ctx, rows))
 
 
-def _cmd_exp(ctx: GeometryContext, args) -> None:
+def _cmd_exp(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_free(args.input)
-    _emit_rows(args, exp_map(ctx, rows))
+    return _table(args, exp_map(ctx, rows))
 
 
-def _cmd_perturb(ctx: GeometryContext, args) -> None:
+def _cmd_perturb(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_compositions(ctx, args)
     by = closure(ctx, _parse_vector(args.by, "--by"))
-    _emit_rows(args, perturb(ctx, rows, by))
+    return _table(args, perturb(ctx, rows, by))
 
 
-def _cmd_power(ctx: GeometryContext, args) -> None:
+def _cmd_power(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_compositions(ctx, args)
-    _emit_rows(args, power(ctx, args.c, rows))
+    return _table(args, power(ctx, args.c, rows))
 
 
-def _cmd_dist(ctx: GeometryContext, args) -> None:
+def _cmd_dist(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_compositions(ctx, args)
-    _emit_rows(args, pairwise_distance(ctx, rows))
+    return _table(args, pairwise_distance(ctx, rows))
 
 
-def _cmd_mean(ctx: GeometryContext, args) -> None:
+def _cmd_mean(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_compositions(ctx, args)
-    _emit_rows(args, frechet_mean(ctx, rows))
+    return _table(args, frechet_mean(ctx, rows))
 
 
-def _cmd_pca(ctx: GeometryContext, args) -> None:
+def _cmd_pca(ctx: GeometryContext, args) -> str:
     if args.format == "csv":
         raise IngestError("pca output is structured; use --format json")
     rows, _ = _ingest_compositions(ctx, args)
@@ -311,10 +313,10 @@ def _cmd_pca(ctx: GeometryContext, args) -> None:
         "directions": pc.directions,
         "scores": pc.scores,
     }
-    _emit(json.dumps(_jsonify(payload)) + "\n", args.output)
+    return _json(payload)
 
 
-def _cmd_sub(ctx: GeometryContext, args) -> None:
+def _cmd_sub(ctx: GeometryContext, args) -> str:
     try:
         indices = tuple(int(i) for i in args.indices.split(","))
     except ValueError:
@@ -322,51 +324,30 @@ def _cmd_sub(ctx: GeometryContext, args) -> None:
     rows, _ = _ingest_compositions(ctx, args)
     sub_ctx, sub_rows = subcompose(ctx, SubSelection(indices), rows)
     if args.format == "json":
-        _emit(json.dumps(_jsonify({"param": sub_ctx.a, "rows": sub_rows})) + "\n", args.output)
-    else:
-        _emit(_rows_csv(sub_rows), args.output)
+        return _json({"param": sub_ctx.a, "rows": sub_rows})
+    return _rows_csv(sub_rows)
 
 
-def _cmd_sample(ctx: GeometryContext, args) -> None:
+def _cmd_sample(ctx: GeometryContext, args) -> str:
     law = _law_from_args(ctx, args)
-    _emit_rows(args, gaussian_sample(law, RandomSource(args.seed), args.n))
+    return _table(args, gaussian_sample(law, RandomSource(args.seed), args.n))
 
 
-def _cmd_density(ctx: GeometryContext, args) -> None:
+def _cmd_density(ctx: GeometryContext, args) -> str:
     law = _law_from_args(ctx, args)
     rows, _ = _ingest_compositions(ctx, args)
     dens = gaussian_density(law, rows)
     zero = np.flatnonzero(dens == 0.0)
     if zero.size:
         raise IngestError(f"{args.input}: density of data row {zero[0] + 1} underflows to 0")
-    if args.format == "json":
-        _emit(json.dumps(_jsonify(dens)) + "\n", args.output)
-    else:
-        _emit(_rows_csv(dens[:, None]), args.output)
+    return _json(dens) if args.format == "json" else _rows_csv(dens[:, None])
 
 
-def _cmd_plot(ctx: GeometryContext, args) -> None:
+def _cmd_plot(ctx: GeometryContext, args) -> str:
     rows, columns = _ingest_compositions(ctx, args)
     if rows.shape[1] != 3:
         raise IngestError("plot needs 3-part compositions; subcompose or project first")
-    _emit(ternary_svg(rows, columns or ("x1", "x2", "x3")), args.output)
-
-
-_COMMANDS = {
-    "param": _cmd_param,
-    "closure": _cmd_closure,
-    "log": _cmd_log,
-    "exp": _cmd_exp,
-    "perturb": _cmd_perturb,
-    "power": _cmd_power,
-    "dist": _cmd_dist,
-    "mean": _cmd_mean,
-    "pca": _cmd_pca,
-    "sub": _cmd_sub,
-    "sample": _cmd_sample,
-    "density": _cmd_density,
-    "plot": _cmd_plot,
-}
+    return ternary_svg(rows, columns or ("x1", "x2", "x3"))
 
 
 # ---------------------------------------------------------------------------
@@ -397,29 +378,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gcoda", description="weighted simplex geometry, statistics and simulation")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def command(name, summary, *parents):
-        return sub.add_parser(name, parents=[common, *parents], help=summary)
+    def command(name, run, summary, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        p.set_defaults(run=run)
+        return p
 
-    command("param", "print the canonical weights, neutral element and normalizer", table)
-    command("closure", "project positive rows onto the simplex", data, table)
-    command("log", "log-map rows to zero-sum tangent vectors", comps, table)
-    command("exp", "exp-map zero-sum rows to compositions", data, table)
-    p = command("perturb", "group-translate every row by a fixed vector", comps, table)
+    command("param", _cmd_param, "print the canonical weights, neutral element and normalizer", table)
+    command("closure", _cmd_closure, "project positive rows onto the simplex", data, table)
+    command("log", _cmd_log, "log-map rows to zero-sum tangent vectors", comps, table)
+    command("exp", _cmd_exp, "exp-map zero-sum rows to compositions", data, table)
+    p = command("perturb", _cmd_perturb, "group-translate every row by a fixed vector", comps, table)
     p.add_argument("--by", required=True, help="comma-separated positive vector (closed before use)")
-    p = command("power", "scalar-multiply every row", comps, table)
+    p = command("power", _cmd_power, "scalar-multiply every row", comps, table)
     p.add_argument("--c", type=float, required=True, help="scalar")
-    command("dist", "full pairwise distance matrix", comps, table)
-    command("mean", "intrinsic (group) sample mean", comps, table)
-    p = command("pca", "principal component analysis (JSON)", comps)
+    command("dist", _cmd_dist, "full pairwise distance matrix", comps, table)
+    command("mean", _cmd_mean, "intrinsic (group) sample mean", comps, table)
+    p = command("pca", _cmd_pca, "principal component analysis (JSON)", comps)
     p.add_argument("--format", choices=("csv", "json"), default="json", help="output format (json only)")
     p.add_argument("--k", type=int, default=None, help="number of components (default: all)")
-    p = command("sub", "subcomposition under the restricted weights", comps, table)
+    p = command("sub", _cmd_sub, "subcomposition under the restricted weights", comps, table)
     p.add_argument("--indices", required=True, help="comma-separated 1-based part positions")
-    p = command("sample", "draw from a normal law on the simplex", law, table)
+    p = command("sample", _cmd_sample, "draw from a normal law on the simplex", law, table)
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=int, default=0, help="sampler seed")
-    command("density", "normal density at each input row", comps, law, table)
-    command("plot", "ternary scatter SVG of 3-part rows", comps)
+    command("density", _cmd_density, "normal density at each input row", comps, law, table)
+    command("plot", _cmd_plot, "ternary scatter SVG of 3-part rows", comps)
     return parser
 
 
@@ -436,22 +419,13 @@ def _build_config(args) -> GeometryContext:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        ctx = _build_config(args)
-        _COMMANDS[args.command](ctx, args)
+        _emit(args.run(_build_config(args), args), args.output)
         return 0
     except (NonConvergence, NumericalOverflow, NotPositiveDefinite) as exc:
         print(f"gcoda: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except GcodaError as exc:
+    except (GcodaError, OSError) as exc:
         print(f"gcoda: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"gcoda: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

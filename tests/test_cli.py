@@ -325,6 +325,18 @@ def test_ingest_non_simplex_needs_close(tmp_path, capsys):
     assert abs(sum(vals)) < 1e-12
 
 
+def test_close_projects_only_rows_off_the_simplex(tmp_path, capsys):
+    # 0.2000000004,0.3,0.5 sums to 1 within tolerance: it is divided by its sum
+    # whatever rows follow it, not closed with the row that does not.
+    argv = ("log", "--param", "0.5,1,1.5", "--close", "--input")
+    alone = write(tmp_path, "alone.csv", "0.2000000004,0.3,0.5\n")
+    mixed = write(tmp_path, "mixed.csv", "0.2000000004,0.3,0.5\n0.4,0.4,0.4\n")
+    code, out_alone, _ = run_cli(capsys, *argv, alone)
+    assert code == 0 and out_alone == "-0.423706878408,0.134871234425,0.288835643983\n"
+    code, out_mixed, _ = run_cli(capsys, *argv, mixed)
+    assert code == 0 and out_mixed.splitlines()[0] == out_alone.strip()
+
+
 def test_ingest_missing_file(capsys):
     code, _, err = run_cli(capsys, "log", "--param", "1,1,1", "--input", "/nonexistent/x.csv")
     assert code == 1 and "not found" in err

@@ -91,6 +91,16 @@ def test_cli_golden(weights, command):
     assert np.abs(have - want).max(initial=0.0) <= 1e-10 * np.abs(want).max(initial=0.0)
 
 
+@pytest.mark.parametrize("weights,command", CASES, ids=[f"{w}-{c}" for w, c in CASES])
+def test_cli_output_file_holds_stdout_bytes(weights, command, tmp_path):
+    path = tmp_path / "out"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*_argv(weights, command), "--output", str(path)])
+    assert code == 0 and out.getvalue() == ""
+    assert path.read_bytes() == _run(weights, command).encode("utf-8")
+
+
 if __name__ == "__main__":
     for w, c in CASES:
         (GOLDEN / f"{w}-{c}.out").write_text(_run(w, c), encoding="utf-8")

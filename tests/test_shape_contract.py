@@ -1,8 +1,11 @@
 """The array convention: parts lie on the last axis.
 
-A single vector and a one-row matrix go through the same kernels, so the
-vector's result is bitwise row 0 of the matrix's result, and a scalar result
-of a single vector is a Python ``float`` or ``bool``.
+A single vector and a one-row matrix run the same arithmetic in the same
+order, so the vector's result is bitwise row 0 of the matrix's result, and a
+scalar result of a single vector is a Python ``float`` or ``bool``.  Under
+general weights the arithmetic runs in two loops: the closure solve takes a
+matrix through ``geometry._newton_logt`` and a vector through
+``geometry._newton_vector``.
 """
 
 import numpy as np
