@@ -34,16 +34,18 @@ def as_positive(x) -> np.ndarray:
     return arr
 
 
-def _check_same_width(x: np.ndarray, y: np.ndarray) -> None:
-    # Component count must match exactly; no silent padding or truncation.
-    if x.shape[-1] != y.shape[-1]:
-        raise DimensionMismatch(f"component counts differ: {x.shape[-1]} vs {y.shape[-1]}")
+def _pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operands that pair up: equal widths, and equal shapes or one vector against every row."""
+    if u.shape[-1] != v.shape[-1]:
+        raise DimensionMismatch(f"component counts differ: {u.shape[-1]} vs {v.shape[-1]}")
+    if u.ndim == v.ndim and u.shape != v.shape:
+        raise DimensionMismatch(f"operands must have matching shapes, got {u.shape} and {v.shape}")
+    return u, v
 
 
 def oplus(x, y) -> np.ndarray:
     """Componentwise product, the group operation of the positive orthant."""
-    xa, ya = as_positive(x), as_positive(y)
-    _check_same_width(xa, ya)
+    xa, ya = _pair(as_positive(x), as_positive(y))
     return xa * ya
 
 

@@ -20,19 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
+from .ambient import as_positive
 from .basis import helmert_basis
 from .compose import SubSelection, subcompose
 from .errors import (
     GcodaError,
     IngestError,
     NonConvergence,
-    NonPositiveValue,
     NotPositiveDefinite,
     NumericalOverflow,
 )
 from .geometry import (
-    _COMPOSITION_SUM_TOL,
     GeometryContext,
+    _on_simplex,
     closure,
     exp_map,
     log_map,
@@ -75,14 +75,10 @@ def _rows_csv(arr: np.ndarray) -> str:
 
 
 def _jsonify(obj):
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+    if isinstance(obj, np.ndarray):
         # Round every value to 12 significant digits in bulk: format, parse back.
         text = _rows_csv(obj.reshape(-1, 1))
         return np.array(text.split(), dtype=float).reshape(obj.shape).tolist()
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (float, np.floating)):
@@ -183,16 +179,17 @@ def _ingest_free(path: str) -> _Table:
 
 def _ingest_positive(path: str) -> _Table:
     rows, columns = _ingest_free(path)
-    if not (rows > 0).all():
-        raise NonPositiveValue(f"{path}: all values must be strictly positive")
-    return rows, columns
+    try:
+        return as_positive(rows), columns
+    except GcodaError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _ingest_compositions(ctx: GeometryContext, args) -> _Table:
     rows, columns = _ingest_positive(args.input)
-    sums = rows.sum(axis=1)
-    off = np.abs(sums - 1.0) > _COMPOSITION_SUM_TOL
-    out = rows / sums[:, None]
+    # A row whose sum overflows is off the simplex, and is reported as such.
+    with np.errstate(over="ignore"):
+        out, off = _on_simplex(rows)
     if off.any():
         if not args.close:
             bad = int(np.flatnonzero(off)[0]) + 1
@@ -202,10 +199,10 @@ def _ingest_compositions(ctx: GeometryContext, args) -> _Table:
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
-    try:
-        return np.array([float(c) for c in text.split(",")], dtype=float)
-    except ValueError:
-        raise IngestError(f"could not parse {what}: {text!r}") from None
+    vec = _parse_line(text)
+    if vec is None:
+        raise IngestError(f"could not parse {what}: {text!r}")
+    return np.array(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import as_free, as_positive
+from .ambient import _pair, as_free, as_positive
 from .errors import (
     DimensionMismatch,
     MixedSignParameter,
     NonConvergence,
-    NonPositiveValue,
     NotInTangentSpace,
     NotOnSimplex,
     NumericalOverflow,
@@ -126,13 +125,13 @@ class GeometryContext:
 
 
 def _detect_fast_path(a: np.ndarray) -> str:
-    lead = a[0]
-    if np.allclose(a, lead, rtol=_PROP_RTOL, atol=0.0):
+    # numpy's isclose test with atol 0, |x - y| <= rtol * |y|, against a[0] and 2 * a[0].
+    lead, last = float(a[0]), float(a[-1])
+    if not (np.abs(a[:-1] - lead) <= _PROP_RTOL * lead).all():
+        return GENERAL
+    if abs(last - lead) <= _PROP_RTOL * lead:
         return UNIFORM
-    head, last = a[:-1], a[-1]
-    if np.allclose(head, lead, rtol=_PROP_RTOL, atol=0.0) and np.isclose(
-        last, 2.0 * lead, rtol=_PROP_RTOL, atol=0.0
-    ):
+    if abs(last - 2.0 * lead) <= _PROP_RTOL * (2.0 * lead):
         return QUADRATIC
     return GENERAL
 
@@ -148,11 +147,9 @@ def make_context(a) -> GeometryContext:
     component below 1e-300 or above 1e300 in magnitude, where the closure
     solve would overflow float64.
     """
-    arr = np.array(a, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise DimensionMismatch(f"weight vector must be 1-d with >= 2 components, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonPositiveValue("weight components must be finite")
+    arr = np.array(as_free(a))
+    if arr.ndim != 1:
+        raise DimensionMismatch(f"weight vector must be 1-d, got shape {arr.shape}")
     if (arr == 0).any():
         raise ZeroComponent("weight vector must not contain zeros")
     if (arr > 0).any() and (arr < 0).any():
@@ -189,11 +186,16 @@ def as_composition(lam) -> np.ndarray:
     Sums may deviate from one by at most 1e-9 (round-tripped file data); the
     returned array is renormalized to machine precision.
     """
-    arr = as_positive(lam)
-    sums = arr.sum(axis=-1, keepdims=True)
-    if (np.abs(sums - 1.0) > _COMPOSITION_SUM_TOL).any():
+    out, off = _on_simplex(as_positive(lam))
+    if off.any():
         raise NotOnSimplex("components must sum to 1 (within 1e-9)")
-    return arr / sums
+    return out
+
+
+def _on_simplex(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` divided by their sums, and which sums (an infinite one too) miss 1 by more than 1e-9."""
+    sums = rows.sum(axis=-1, keepdims=True)
+    return rows / sums, (np.abs(sums - 1.0) > _COMPOSITION_SUM_TOL)[..., 0]
 
 
 def as_tangent(xi) -> np.ndarray:
@@ -224,13 +226,6 @@ def _check_exponent(ctx: GeometryContext, mag: float, what: str) -> None:
     bound = (mag + math.log(ctx.dim)) / float(ctx.a.min()) * max(1.0, float(ctx.a.max()))
     if not bound <= _MAX_EXPONENT:
         raise NumericalOverflow(f"{what} = {mag:.3g} is too large: the closure solve would overflow float64")
-
-
-def _pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Operands that pair up: equal shapes, or one vector against every row."""
-    if u.ndim == v.ndim and u.shape != v.shape:
-        raise DimensionMismatch(f"operands must have matching shapes, got {u.shape} and {v.shape}")
-    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +498,6 @@ def perturb(ctx: GeometryContext, lam, mu) -> np.ndarray:
     """Group operation of the simplex: closure of the componentwise product."""
     la, mu_ = _pair(as_composition(lam), as_composition(mu))
     _check_dim(ctx, la)
-    _check_dim(ctx, mu_)
     return _closure_logx(ctx, np.log(la) + np.log(mu_))
 
 

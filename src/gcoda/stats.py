@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TangentBasis, coords, from_coords
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NonPositiveValue, NotPositiveDefinite
 from .geometry import GeometryContext, _item, exp_map, log_map
 
 __all__ = [
@@ -188,6 +188,8 @@ def make_gaussian(ctx: GeometryContext, basis: TangentBasis, mean_coords, covari
     cov = np.asarray(covariance, dtype=float)
     if mu.shape != (n,) or cov.shape != (n, n):
         raise DimensionMismatch(f"expected mean ({n},) and covariance ({n}, {n})")
+    if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
+        raise NonPositiveValue("mean and covariance must be finite")
     scale = max(np.abs(cov).max(), 1.0)
     if np.abs(cov - cov.T).max() > 1e-12 * scale:
         raise NotPositiveDefinite("covariance must be symmetric")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcoda import DimensionMismatch, NonPositiveValue, NumericalOverflow, amb_exp, amb_log, odot, oplus
+from gcoda.ambient import as_free
 
 finite_pos = st.floats(min_value=1e-6, max_value=1e6)
 
@@ -24,6 +25,28 @@ def test_oplus_identity_and_inverse():
 def test_oplus_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         oplus([1, 2], [1, 2, 3])
+
+
+def test_oplus_pairs_operands_like_the_simplex_operations():
+    # equal shapes, or one vector against every row; anything else is a
+    # DimensionMismatch, not numpy's broadcasting ValueError
+    rows = np.arange(1.0, 7.0).reshape(2, 3)
+    np.testing.assert_array_equal(oplus(rows, [1, 2, 3]), rows * [1, 2, 3])
+    with pytest.raises(DimensionMismatch, match="matching shapes"):
+        oplus(np.ones((2, 3)), np.ones((3, 3)))
+    with pytest.raises(DimensionMismatch, match="component counts differ"):
+        oplus(np.ones((2, 3)), np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf, 1.0], [[1.0, 2.0], [-np.inf, 1.0]]])
+def test_as_free_rejects_non_finite(bad):
+    with pytest.raises(NonPositiveValue, match="finite"):
+        as_free(bad)
+
+
+def test_as_free_rejects_three_axes():
+    with pytest.raises(DimensionMismatch, match=r"shape \(2, 2, 2\)"):
+        as_free(np.ones((2, 2, 2)))
 
 
 def test_oplus_rejects_nonpositive():

@@ -111,3 +111,8 @@ def test_dimension_checks(ctx112):
         g.coords(ctx112, b4, ctx112.e_a)
     with pytest.raises(g.DimensionMismatch):
         g.from_coords(ctx112, g.helmert_basis(3), np.zeros(3))
+
+
+def test_from_coords_rejects_a_basis_of_another_dimension(ctx112):
+    with pytest.raises(g.DimensionMismatch, match="basis dimension"):
+        g.from_coords(ctx112, g.helmert_basis(4), np.zeros(3))

@@ -309,6 +309,23 @@ def test_ingest_negative(tmp_path, capsys):
     assert code == 1 and "positive" in err
 
 
+@pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("argv", [["closure"], ["log"], ["log", "--close"]], ids=["closure", "log", "log-close"])
+def test_ingest_non_finite_cell_is_one_line(tmp_path, capsys, argv, cell):
+    path = write(tmp_path, "bad.csv", f"0.2,0.3,0.5\n0.2,{cell},0.5\n")
+    code, out, err = run_cli(capsys, argv[0], "--param", "1,1,2", "--input", path, *argv[1:])
+    assert code == 1 and out == ""
+    assert err == f"gcoda: {path}: components must be finite\n"
+
+
+def test_ingest_row_sum_overflow_is_off_the_simplex(tmp_path, capsys):
+    # the sum overflows to inf, which misses 1, without a RuntimeWarning
+    path = write(tmp_path, "huge.csv", "0.2,0.3,0.5\n1e308,1e308,1\n")
+    code, out, err = run_cli(capsys, "log", "--param", "1,1,2", "--input", path)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: {path}: data row 2 does not sum to 1 (pass --close to project)\n"
+
+
 def test_ingest_ragged(tmp_path, capsys):
     path = write(tmp_path, "bad.csv", "0.2,0.3,0.5\n0.2,0.8\n")
     code, _, err = run_cli(capsys, "log", "--param", "1,1,1", "--input", path)
@@ -407,6 +424,22 @@ def test_sample_rejects_bad_sigma(tmp_path, capsys):
         capsys, "sample", "--param", "1,1,1", "--n", "4", "--sigma", sigma
     )
     assert code == 2 and "positive definite" in err
+
+
+@pytest.mark.parametrize("law", [
+    ["--mu", "nan,0"],
+    ["--mu", "0,inf"],
+    ["--sigma", "{sigma}"],
+], ids=["mu-nan", "mu-inf", "sigma-inf"])
+@pytest.mark.parametrize("command", ["density", "sample"])
+def test_non_finite_law_is_one_line(tmp_path, capsys, command, law):
+    sigma = write(tmp_path, "sigma.csv", "1,0\n0,inf\n")
+    data = write(tmp_path, "comp.csv", "0.2,0.3,0.5\n")
+    extra = ["--input", data] if command == "density" else ["--n", "3"]
+    law = [v.format(sigma=sigma) for v in law]
+    code, out, err = run_cli(capsys, command, "--param", "1,1,2", *extra, *law, "--format", "json")
+    assert code == 1 and out == ""
+    assert err == "gcoda: mean and covariance must be finite\n"
 
 
 def test_density_command(tmp_path, capsys):

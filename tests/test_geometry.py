@@ -69,6 +69,44 @@ def test_short_parameter_rejected():
         g.make_context([2.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_weight_rejected(bad):
+    with pytest.raises(g.NonPositiveValue, match="finite"):
+        g.make_context([1.0, bad, 2.0])
+
+
+def test_fast_path_matches_isclose_near_the_tolerance():
+    # weights within 2e-12 relative of (1, ..., 1) and (1, ..., 1, 2), on
+    # both sides of the 1e-12 tolerance: the tags follow np.isclose's test
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        n = int(rng.integers(2, 7))
+        lead = float(np.exp(rng.uniform(-50.0, 50.0)))
+        a = np.full(n, lead)
+        a[1:-1] *= 1.0 + rng.uniform(-2e-12, 2e-12, n - 2) * rng.integers(0, 2)
+        a[-1] = lead * rng.choice([1.0, 2.0]) * (1.0 + rng.uniform(-2e-12, 2e-12))
+        head = np.isclose(a[:-1], lead, rtol=1e-12, atol=0.0).all()
+        if head and np.isclose(a[-1], lead, rtol=1e-12, atol=0.0):
+            want = "uniform"
+        elif head and np.isclose(a[-1], 2.0 * lead, rtol=1e-12, atol=0.0):
+            want = "quadratic"
+        else:
+            want = "general"
+        assert g.make_context(a).fast_path == want, a.tolist()
+
+
+@pytest.mark.parametrize("op", [
+    lambda ctx, v: g.closure(ctx, v),
+    lambda ctx, v: g.log_map(ctx, v),
+    lambda ctx, v: g.perturb(ctx, v, v),
+    lambda ctx, v: g.solve_t(ctx, v),
+], ids=["closure", "log_map", "perturb", "solve_t"])
+def test_operand_width_must_match_the_geometry(op):
+    ctx = g.make_context([0.5, 1, 1.5, 2, 3])
+    with pytest.raises(g.DimensionMismatch, match="expected 5 components, got 3"):
+        op(ctx, np.array([0.2, 0.3, 0.5]))
+
+
 def test_weight_ratio_above_bound_rejected():
     with pytest.raises(g.ZeroComponent, match="ratio"):
         g.make_context([1e-150, 1.0, 1e150])

@@ -301,6 +301,17 @@ def test_gaussian_validation(ctx112, basis3):
         g.make_gaussian(ctx112, basis3, np.zeros(3), np.eye(2))
 
 
+@pytest.mark.parametrize("mu,cov", [
+    ([np.nan, 0.0], np.eye(2)),
+    ([0.0, np.inf], np.eye(2)),
+    ([0.0, 0.0], [[1.0, 0.0], [0.0, np.inf]]),
+    ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+])
+def test_gaussian_rejects_non_finite_parameters(ctx112, basis3, mu, cov):
+    with pytest.raises(g.NonPositiveValue, match="finite"):
+        g.make_gaussian(ctx112, basis3, np.array(mu), np.array(cov))
+
+
 def test_gaussian_mean_is_neutral_for_standard_law(ctx112, basis3):
     law = g.make_gaussian(ctx112, basis3, np.zeros(2), np.eye(2))
     np.testing.assert_allclose(g.gaussian_mean(law), ctx112.e_a, atol=1e-14)
