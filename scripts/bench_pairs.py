@@ -11,7 +11,11 @@ from a fresh export.  For every end-to-end metric in BENCHMARK.json it
 prints both sides' medians and quartiles and the change's wins out of all
 pairs (a tie counts for neither side), and whether the gain rule holds: the
 change wins at least nine tenths of the pairs and its median is better than
-REV's by more than REV's interquartile range.  Stdlib only.
+REV's by more than REV's interquartile range.  Its bound verdict reads
+``worse`` when the change's median is worse than REV's by more than the
+metric's ``bound`` (a fraction of REV's median), else ``unresolved`` when
+REV's interquartile range exceeds that bound and some run of the change
+reads no better than some run of REV, else ``within``.  Stdlib only.
 
 Usage: python3 scripts/bench_pairs.py HEAD --workload lib-newton --pairs 10 --seed 5101
 """
@@ -52,6 +56,20 @@ def gain_holds(parent: list[float], change: list[float], better: str) -> bool:
     return 10 * wins(parent, change, better) >= 9 * len(parent) and gap > q3 - q1
 
 
+def bound_verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``within``: the change against REV and the metric's bound."""
+    sign = 1.0 if better == "higher" else -1.0
+    pm = statistics.median(parent)
+    limit = bound * abs(pm)
+    if sign * (statistics.median(change) - pm) < -limit:
+        return "worse"
+    q1, q3 = quartiles(parent)
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > limit and not every_run_better:
+        return "unresolved"
+    return "within"
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """The info line and the result line of one end-to-end benchmark run in ``tree``."""
     cmd = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
@@ -80,7 +98,7 @@ def copy_worktree(dest: Path) -> None:
 
 def report(spec: list[dict], parent: list[dict], change: list[dict]) -> str:
     n = len(parent)
-    lines = [f"{'metric':<14} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'change %':>9} {'wins':>6}  gain"]
+    lines = [f"{'metric':<14} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'change %':>9} {'wins':>6}  {'gain':<5}  bound"]
     for m in spec:
         name, better = m["name"], m["better"]
         p = [r["metrics"][name]["value"] for r in parent]
@@ -88,8 +106,9 @@ def report(spec: list[dict], parent: list[dict], change: list[dict]) -> str:
         pm, cm = statistics.median(p), statistics.median(c)
         rel = f"{100.0 * (cm - pm) / pm:+.1f}" if pm else "n/a"
         cols = [f"{med:.4g} [{lo:.4g}, {hi:.4g}]" for med, (lo, hi) in ((pm, quartiles(p)), (cm, quartiles(c)))]
-        verdict = "holds" if gain_holds(p, c, better) else "no"
-        lines.append(f"{name:<14} {cols[0]:>34} {cols[1]:>34} {rel:>9} {wins(p, c, better):>3}/{n:<2}  {verdict}")
+        gain = "holds" if gain_holds(p, c, better) else "no"
+        verdict = f"{bound_verdict(p, c, better, m['bound'])} ({100.0 * m['bound']:g}%)"
+        lines.append(f"{name:<14} {cols[0]:>34} {cols[1]:>34} {rel:>9} {wins(p, c, better):>3}/{n:<2}  {gain:<5}  {verdict}")
     failed = [sum(r["failed"] for r in side) for side in (parent, change)]
     lines.append(f"failed operations: parent {failed[0]}, change {failed[1]}")
     return "\n".join(lines)

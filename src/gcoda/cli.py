@@ -31,6 +31,7 @@ from .errors import (
     NumericalOverflow,
 )
 from .geometry import (
+    _BLOCK_CELLS,
     GeometryContext,
     _on_simplex,
     closure,
@@ -53,12 +54,6 @@ from .stats import (
 
 # ---------------------------------------------------------------------------
 # Formatting
-
-# Cells parsed or formatted per block.  Blocks are sized by cells, not rows,
-# so that the per-block lists of Python strings and floats stay small for
-# wide tables (a 1000-column distance matrix) as well as narrow ones.
-_BLOCK_CELLS = 1 << 14
-
 
 def _rows_csv(arr: np.ndarray) -> str:
     """Rows of ``arr`` as comma-separated ``%.12g`` text, one line each.
@@ -194,7 +189,13 @@ def _ingest_compositions(ctx: GeometryContext, args) -> _Table:
         if not args.close:
             bad = int(np.flatnonzero(off)[0]) + 1
             raise IngestError(f"{args.input}: data row {bad} does not sum to 1 (pass --close to project)")
-        out[off] = closure(ctx, rows[off])
+        closed = closure(ctx, rows[off])
+        # A row far from the simplex can close to a part that underflows to 0.
+        zero = np.flatnonzero((closed == 0.0).any(axis=-1))
+        if zero.size:
+            bad = int(np.flatnonzero(off)[zero[0]]) + 1
+            raise IngestError(f"{args.input}: data row {bad} closes to a composition with a zero part")
+        out[off] = closed
     return out, columns
 
 

@@ -90,7 +90,14 @@ _MIN_WEIGHT, _MAX_WEIGHT = 1e-300, 1e300
 # power and exp_map input, whose logarithms are unbounded.  The solve forms
 # t, t * a and sums and differences of such terms; below an eighth of
 # float64's maximum none of them overflows.
-_MAX_EXPONENT = np.finfo(float).max / 8
+_FLOAT_MAX = np.finfo(float).max
+_MAX_EXPONENT = _FLOAT_MAX / 8
+
+# Cells per block, for the wide-batch kernels here and for the CLI's CSV
+# parsing and formatting.  Blocks are sized by cells, not rows, so that a
+# block's temporaries (numpy arrays here, lists of Python strings and floats
+# in the CLI) stay small for wide tables as well as narrow ones.
+_BLOCK_CELLS = 1 << 14
 
 _COMPOSITION_SUM_TOL = 1e-9
 _TANGENT_SUM_TOL = 1e-10
@@ -201,11 +208,21 @@ def _on_simplex(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def as_tangent(xi) -> np.ndarray:
     """Validate tangent vector(s): components summing to zero."""
     arr = as_free(xi)
-    sums = np.abs(arr.sum(axis=-1))
+    unit, mag, floor = arr, np.abs(arr), _TANGENT_SUM_TOL
+    if mag.max(initial=0.0) > _FLOAT_MAX / arr.shape[-1]:
+        # Some row's parts could sum past float64's maximum.  Each row is
+        # divided by a power of two 2**e no smaller than its largest part (a
+        # row within [-1, 1] by one).  The division is exact, so the test
+        # below is the unscaled row's with both sides divided by 2**e; a row
+        # whose sum |x| exceeds float64 keeps an unbounded tolerance.
+        e = np.maximum(np.frexp(mag.max(axis=-1))[1], 0)
+        unit = np.ldexp(arr, -e[..., None])
+        mag = np.abs(unit)
+        floor = np.where(mag.sum(axis=-1) > np.ldexp(_FLOAT_MAX, -e), np.inf, np.ldexp(_TANGENT_SUM_TOL, -e))
+    sums = np.abs(unit.sum(axis=-1))
     # Absolute 1e-10 contract at unit scale, loosened only where float
     # summation error itself grows with the vector magnitude.
-    scale = np.abs(arr).sum(axis=-1)
-    tol = np.maximum(_TANGENT_SUM_TOL, 64 * np.finfo(float).eps * scale)
+    tol = np.maximum(floor, 64 * np.finfo(float).eps * mag.sum(axis=-1))
     if (sums > tol).any():
         raise NotInTangentSpace("components must sum to 0 (within 1e-10)")
     return arr
@@ -228,6 +245,26 @@ def _check_exponent(ctx: GeometryContext, mag: float, what: str) -> None:
         raise NumericalOverflow(f"{what} = {mag:.3g} is too large: the closure solve would overflow float64")
 
 
+def _row_blocks(rows: int, width: int):
+    """Slices of ``range(rows)`` that split a row-matrix into blocks of about ``_BLOCK_CELLS`` cells.
+
+    A rest shorter than half a block joins the block before it, so that no
+    block costs a round of numpy calls for a few rows.  Blocked kernels do
+    only elementwise and row-wise arithmetic, whose bits do not depend on
+    where a block ends; BLAS products stay whole-batch, because BLAS rounds
+    a row differently as the batch around it is split (a small-matrix gemm
+    kernel, the rows each thread of a gemv takes).
+    """
+    step = max(1, _BLOCK_CELLS // width)
+    start = 0
+    while start < rows:
+        stop = start + step
+        if 2 * (rows - stop) < step:
+            stop = rows
+        yield slice(start, stop)
+        start = stop
+
+
 # ---------------------------------------------------------------------------
 # Closure root solve.  The kernels act on the last axis: one vector, or a
 # row-matrix row by row.
@@ -238,9 +275,9 @@ def _lse_rows(w: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(w - m[..., None]).sum(axis=-1))
 
 
-def _softmax_rows(w: np.ndarray) -> np.ndarray:
+def _softmax_rows(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     e = np.exp(w - w.max(axis=-1)[..., None])
-    return e / e.sum(axis=-1)[..., None]
+    return np.divide(e, e.sum(axis=-1)[..., None], out=out)
 
 
 def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
@@ -395,10 +432,18 @@ def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:
 
     Under general weights the Newton solve writes the closed points over
     ``logx`` as its rows converge.  The closed forms, and the quadratic's
-    Newton fallback, close in a separate softmax pass.
+    Newton fallback, close in a separate softmax pass.  A uniform batch of
+    more than one block closes block by block over ``logx``; the
+    quadratic's guard reads the whole batch's max, so it runs whole.
     """
     if ctx.fast_path == GENERAL:
         _newton_logt(ctx.a, logx, out=logx)
+        return logx
+    if ctx.fast_path == UNIFORM and logx.size > _BLOCK_CELLS and logx.ndim == 2:
+        for s in _row_blocks(*logx.shape):
+            block = logx[s]
+            t = _solve_logt(ctx.a, block, UNIFORM)
+            _softmax_rows(block + t[..., None] * ctx.a, out=block)
         return logx
     t = _solve_logt(ctx.a, logx, ctx.fast_path)
     return _softmax_rows(logx + t[..., None] * ctx.a)
@@ -462,9 +507,16 @@ def log_map(ctx: GeometryContext, lam) -> np.ndarray:
     """
     arr = as_composition(lam)
     _check_dim(ctx, arr)
-    L = np.log(arr)
-    w = L @ ctx.e_a
-    return ctx.e_a * L - (w / ctx.s)[..., None] * (ctx.a * ctx.e_a)
+    # as_composition returns a new array, so its logarithm is taken in place.
+    L = np.log(arr, out=arr)
+    w = (L @ ctx.e_a) / ctx.s
+    if L.size <= _BLOCK_CELLS or L.ndim == 1:
+        return ctx.e_a * L - w[..., None] * (ctx.a * ctx.e_a)
+    # The rest is row-wise: a wide batch is mapped block by block over L.
+    for s in _row_blocks(*L.shape):
+        block = L[s]
+        np.subtract(ctx.e_a * block, w[s, None] * (ctx.a * ctx.e_a), out=block)
+    return L
 
 
 def exp_map(ctx: GeometryContext, xi) -> np.ndarray:

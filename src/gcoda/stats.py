@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import TangentBasis, coords, from_coords
 from .errors import DimensionMismatch, NonPositiveValue, NotPositiveDefinite
-from .geometry import GeometryContext, _item, exp_map, log_map
+from .geometry import GeometryContext, _item, _row_blocks, exp_map, log_map
 
 __all__ = [
     "frechet_mean",
@@ -142,7 +142,9 @@ class RandomSource:
 
     Counter-based splitmix64 feeding a Box-Muller transform: the same seed
     yields the same stream on every platform, independent of numpy's own
-    generator machinery.
+    generator machinery.  A long draw is made in chunks of an even number of
+    variates, whole Box-Muller pairs, so that the stream does not depend on
+    where a chunk ends.
     """
 
     def __init__(self, seed: int):
@@ -161,13 +163,14 @@ class RandomSource:
 
     def normals(self, n: int) -> np.ndarray:
         pairs = (n + 1) // 2
-        u = self._uniforms(2 * pairs).reshape(pairs, 2)
-        r = np.sqrt(-2.0 * np.log(u[:, 0]))
-        ang = (2.0 * np.pi) * u[:, 1]
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(ang)
-        out[1::2] = r * np.sin(ang)
-        return out[:n]
+        out = np.empty((pairs, 2))
+        for s in _row_blocks(pairs, 2):
+            u = self._uniforms(2 * (s.stop - s.start)).reshape(-1, 2)
+            r = np.sqrt(-2.0 * np.log(u[:, 0]))
+            ang = (2.0 * np.pi) * u[:, 1]
+            out[s, 0] = r * np.cos(ang)
+            out[s, 1] = r * np.sin(ang)
+        return out.ravel()[:n]
 
 
 @dataclass(frozen=True)
@@ -210,8 +213,10 @@ def gaussian_sample(g: SimplexGaussian, rng: RandomSource, n: int) -> np.ndarray
     if n < 1:
         raise DimensionMismatch("need n >= 1 samples")
     n_coords = g.ctx.dim - 1
-    z = rng.normals(n * n_coords).reshape(n, n_coords)
-    return from_coords(g.ctx, g.basis, g.mean_coords + z @ g.chol.T)
+    # The normals are freed once transformed, and the mean is added in place.
+    y = rng.normals(n * n_coords).reshape(n, n_coords) @ g.chol.T
+    y += g.mean_coords
+    return from_coords(g.ctx, g.basis, y)
 
 
 def gaussian_density(g: SimplexGaussian, lam):

@@ -1,0 +1,123 @@
+"""Row-blocked kernels: the bits of one whole-batch pass, and bounded working memory.
+
+Wide batches run in row blocks of about ``geometry._BLOCK_CELLS`` cells.  A
+blocked kernel must give the bytes that the same call gives with blocking
+off (the constant patched far above any batch), at every block edge, and its
+allocation peak must stay within a fixed multiple of its output.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import gcoda as g
+from gcoda import geometry
+
+UNBLOCKED = 1 << 60
+
+
+def rows_per_block(width: int) -> int:
+    return max(1, geometry._BLOCK_CELLS // width)
+
+
+def edge_counts(width: int) -> list[int]:
+    """Row counts at the block edges: one block, a folded rest, a kept rest."""
+    b = rows_per_block(width)
+    fold = b + (b + 1) // 2  # the fewest rows that split into two blocks
+    return sorted({1, 2, b - 1, b, b + 1, b + 2, fold - 1, fold, 2 * b + 1, 5000})
+
+
+def same_bytes(blocked, whole) -> bool:
+    return blocked.shape == whole.shape and blocked.tobytes() == whole.tobytes()
+
+
+def compositions(rng, n, width):
+    x = np.exp(rng.uniform(-5, 5, (n, width)))
+    return x / x.sum(axis=1, keepdims=True)
+
+
+def kernels(width: int):
+    """(name, function of (ctx, basis, rng, n)) for every blocked kernel."""
+    law_mean = np.linspace(-0.3, 0.3, width - 1)
+
+    def sample(ctx, basis, rng, n):
+        law = g.make_gaussian(ctx, basis, law_mean, 0.2 * np.eye(width - 1))
+        return g.gaussian_sample(law, g.RandomSource(n), n)
+
+    return [
+        ("closure", lambda ctx, basis, rng, n: g.closure(ctx, np.exp(rng.uniform(-5, 5, (n, width))))),
+        ("log_map", lambda ctx, basis, rng, n: g.log_map(ctx, compositions(rng, n, width))),
+        ("exp_map", lambda ctx, basis, rng, n: g.exp_map(ctx, g.log_map(ctx, compositions(rng, n, width)))),
+        ("coords", lambda ctx, basis, rng, n: g.coords(ctx, basis, compositions(rng, n, width))),
+        ("from_coords", lambda ctx, basis, rng, n: g.from_coords(ctx, basis, rng.normal(size=(n, width - 1)))),
+        ("gaussian_sample", sample),
+    ]
+
+
+@pytest.mark.parametrize("width", (5, 51))
+@pytest.mark.parametrize("weights", ("uniform", "general"))
+def test_blocked_kernels_match_a_whole_batch_pass(width, weights, monkeypatch):
+    a = np.ones(width) if weights == "uniform" else np.linspace(0.5, 3.0, width)
+    ctx, basis = g.make_context(a), g.helmert_basis(width)
+    for name, kernel in kernels(width):
+        for n in edge_counts(width):
+            blocked = kernel(ctx, basis, np.random.default_rng(n), n)
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_BLOCK_CELLS", UNBLOCKED)
+                whole = kernel(ctx, basis, np.random.default_rng(n), n)
+            assert same_bytes(blocked, whole), (name, n)
+
+
+def test_normals_match_an_unchunked_draw(monkeypatch):
+    b = rows_per_block(2)  # Box-Muller pairs per chunk
+    fold = b + (b + 1) // 2
+    for pairs in (1, b - 1, b, b + 1, fold - 1, fold, 2 * b + 1):
+        for n in (2 * pairs - 1, 2 * pairs):  # odd and even counts
+            src = g.RandomSource(n)
+            chunked = np.concatenate([src.normals(n), src.normals(3)])
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_BLOCK_CELLS", UNBLOCKED)
+                src = g.RandomSource(n)
+                whole = np.concatenate([src.normals(n), src.normals(3)])
+            assert same_bytes(chunked, whole), n
+
+
+@pytest.mark.parametrize("width", (2, 5, 51, 20000))
+def test_row_blocks_cover_the_rows_with_no_short_block(width):
+    b = rows_per_block(width)
+    fold = b + (b + 1) // 2
+    for n in filter(None, (*edge_counts(width), 3 * b + b // 2)):
+        blocks = list(geometry._row_blocks(n, width))
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(p.stop == q.start for p, q in zip(blocks, blocks[1:]))
+        sizes = [s.stop - s.start for s in blocks]
+        assert all(size == b for size in sizes[:-1])
+        # a rest shorter than half a block joins the block before it
+        assert (len(sizes) == 1) == (n < fold)
+        assert len(sizes) == 1 or b <= 2 * sizes[-1] and sizes[-1] < fold
+
+
+def allocation_peak(call):
+    """The output of ``call`` and the most memory it allocated above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_batch_working_memory_is_bounded_by_its_output():
+    # 20000 rows of 51 parts, uniform weights.  A whole-batch pass takes
+    # about 7 outputs' worth for the sampler and 4 for coords.
+    ctx, basis = g.make_context(np.ones(51)), g.helmert_basis(51)
+    law = g.make_gaussian(ctx, basis, np.zeros(50), np.eye(50))
+    sample, peak = allocation_peak(lambda: g.gaussian_sample(law, g.RandomSource(1), 20000))
+    # the transformed normals, their lift through the basis and the output, plus blocks
+    assert peak <= 3.5 * sample.nbytes
+    z, peak = allocation_peak(lambda: g.coords(ctx, basis, sample))
+    # the validated compositions (log-mapped in place) and the output, plus blocks
+    assert peak <= 2.5 * z.nbytes

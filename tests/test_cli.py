@@ -354,6 +354,22 @@ def test_close_projects_only_rows_off_the_simplex(tmp_path, capsys):
     assert code == 0 and out_mixed.splitlines()[0] == out_alone.strip()
 
 
+def test_close_row_that_closes_to_a_zero_part_names_the_row(tmp_path, capsys):
+    # the sum overflows, so the row is closed; its last part underflows to 0
+    path = write(tmp_path, "huge.csv", "0.2,0.3,0.5\n1e308,1e308,1\n")
+    code, out, err = run_cli(capsys, "log", "--param", "1,1,2", "--close", "--input", path)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: {path}: data row 2 closes to a composition with a zero part\n"
+
+
+def test_exp_huge_tangent_row_is_one_line(tmp_path, capsys):
+    # sum |x| exceeds float64; the tangent check must not warn before exit 2
+    path = write(tmp_path, "huge.csv", "1e308,-1e308,0\n")
+    code, out, err = run_cli(capsys, "exp", "--param", "1,1,1", "--input", path)
+    assert code == 2 and out == ""
+    assert err.startswith("gcoda: numerical failure: max|xi / e_a| = ") and err.count("\n") == 1
+
+
 def test_ingest_missing_file(capsys):
     code, _, err = run_cli(capsys, "log", "--param", "1,1,1", "--input", "/nonexistent/x.csv")
     assert code == 1 and "not found" in err

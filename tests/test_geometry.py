@@ -580,6 +580,19 @@ def test_exp_map_neutral_element_with_zero_part():
                 g.exp_map(ctx, xi)
 
 
+def test_as_tangent_huge_parts_keep_their_verdicts():
+    # sum |x| of these rows overflows float64; neither sum may warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in ([1e308, -1e308, 0.0], [1.7e308, -1.7e308, 1e294], [1e308, 1e308, -1e308]):
+            g.as_tangent(xi)
+        rows = np.array([[1e308, -1e308, 0.0], [0.5, -0.5, 0.0], [1e-300, -1e-300, 0.0]])
+        assert g.as_tangent(rows) is not None
+        for xi in ([1e300, 1e300, -1e300], [1e300, -1e300, 1e287], [0.5, -0.5, 2e-10]):
+            with pytest.raises(g.NotInTangentSpace):
+                g.as_tangent(xi)
+
+
 def test_exp_map_lift_overflow_reported():
     ctx = g.make_context([1, 2, 3])
     with warnings.catch_warnings():
