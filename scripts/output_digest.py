@@ -1,0 +1,162 @@
+"""One sha256 per public gcoda kernel over a fixed grid of inputs.
+
+Two source trees whose kernels give the same output bits print the same
+lines, so running this script on both sides of a change shows whether any
+bit moved.  The grid:
+
+- widths 3, 5 and 51;
+- uniform, quadratic and two general weight vectors;
+- row counts from 1 to 5000 across the edges of 2^14-cell row blocks, and
+  single vectors;
+- closure input at log spreads 5 and 350 (the latter takes the quadratic
+  closed form's Newton fallback);
+- 20 000 ``as_tangent`` verdicts on rows with parts up to 1.8e308.
+
+A call that raises is hashed by its exception's type and message in place of
+an output, and a RuntimeWarning counts as raised.  Stdlib and numpy only;
+every input comes from a fixed seed.
+
+Usage: python3 scripts/output_digest.py [SRC]   (default: the src/ beside this script)
+"""
+
+import hashlib
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+WIDTHS = (3, 5, 51)
+BLOCK_CELLS = 1 << 14
+MAX_ROWS = 5000
+MAX_DISTANCE_ROWS = 700  # pairwise_distance loops over rows in Python
+TANGENT_ROWS = 20000
+
+
+def row_counts(width: int) -> list[int]:
+    """Row counts at the block edges of ``width``-part rows, up to ``MAX_ROWS``."""
+    b = BLOCK_CELLS // width
+    fold = b + (b + 1) // 2  # the fewest rows that split into two blocks
+    edges = {1, 2, 7, b - 1, b, b + 1, fold - 1, fold, 2 * b + 1, MAX_ROWS}
+    return sorted(n for n in edges if 1 <= n <= MAX_ROWS)
+
+
+def weight_vectors(width: int) -> dict[str, np.ndarray]:
+    return {
+        "uniform": np.ones(width),
+        "quadratic": np.r_[np.ones(width - 1), 2.0],
+        "linspace": np.linspace(0.5, 3.0, width),
+        "geomspace": np.geomspace(0.1, 10.0, width),
+    }
+
+
+def softmax(w: np.ndarray) -> np.ndarray:
+    e = np.exp(w - w.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class Digests:
+    """One running sha256 per kernel name, fed with (case, result) pairs."""
+
+    def __init__(self):
+        self.hashes = {}
+
+    def add(self, name: str, case: str, call) -> None:
+        h = self.hashes.setdefault(name, hashlib.sha256())
+        h.update(case.encode())
+        try:
+            self._feed(h, call())
+        except Exception as exc:  # the failure is part of the digest
+            h.update(f"!{type(exc).__name__}: {exc}".encode())
+
+    def _feed(self, h, value) -> None:
+        if isinstance(value, (np.ndarray, np.generic)):
+            arr = np.asarray(value)
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(arr.tobytes())
+        elif isinstance(value, (tuple, list)):
+            for v in value:
+                self._feed(h, v)
+        elif hasattr(value, "__dataclass_fields__"):
+            for key in value.__dataclass_fields__:
+                self._feed(h, getattr(value, key))
+        elif isinstance(value, float):
+            h.update(value.hex().encode())
+        else:
+            h.update(repr(value).encode())
+
+    def lines(self) -> list[str]:
+        return [f"{name} {h.hexdigest()}" for name, h in self.hashes.items()]
+
+
+def kernel_cases(g, d: Digests, width: int) -> None:
+    basis = g.helmert_basis(width)
+    for label, a in weight_vectors(width).items():
+        d.add("make_context", f"{width}/{label}", lambda: g.make_context(a))
+        ctx = g.make_context(a)
+        law = g.make_gaussian(ctx, basis, np.linspace(-0.3, 0.3, width - 1), 0.2 * np.eye(width - 1))
+        for n in row_counts(width):
+            rng = np.random.default_rng([width, n])
+            x5 = np.exp(rng.uniform(-5, 5, (n, width)))
+            x350 = np.exp(rng.uniform(-350, 350, (n, width)))
+            lam = softmax(rng.uniform(-5, 5, (n, width)))
+            mu = softmax(rng.uniform(-50, 50, (n, width)))
+            xi = 3.0 * rng.normal(size=(n, width))
+            xi -= xi.mean(axis=1, keepdims=True)
+            z = rng.normal(size=(n, width - 1))
+            cases = [(f"{width}/{label}/{n}", lambda v: v)]
+            if n == 1:  # the row as a single vector too
+                cases.append((f"{width}/{label}/vector", lambda v: v[0]))
+            for case, one in cases:
+                for spread, x in (("5", x5), ("350", x350)):
+                    d.add("solve_t", f"{case}/{spread}", lambda: g.solve_t(ctx, one(x)))
+                    d.add("closure", f"{case}/{spread}", lambda: g.closure(ctx, one(x)))
+                d.add("log_map", case, lambda: g.log_map(ctx, one(lam)))
+                d.add("exp_map", case, lambda: g.exp_map(ctx, one(xi)))
+                for c in (1.7, -2.3):
+                    d.add("power", f"{case}/{c}", lambda: g.power(ctx, c, one(lam)))
+                d.add("perturb", case, lambda: g.perturb(ctx, one(lam), one(mu)))
+                d.add("perturb", f"{case}/by-vector", lambda: g.perturb(ctx, one(lam), mu[0]))
+                d.add("coords", case, lambda: g.coords(ctx, basis, one(lam)))
+                d.add("from_coords", case, lambda: g.from_coords(ctx, basis, one(z)))
+                d.add("frechet_mean", case, lambda: g.frechet_mean(ctx, one(lam)))
+                d.add("sample_covariance", case, lambda: g.sample_covariance(ctx, basis, one(lam)))
+                d.add("pca", case, lambda: g.pca(ctx, basis, one(mu), width - 1))
+                if n <= MAX_DISTANCE_ROWS:
+                    d.add("pairwise_distance", case, lambda: g.pairwise_distance(ctx, one(mu)))
+                d.add("gaussian_density", case, lambda: g.gaussian_density(law, one(lam)))
+            d.add("gaussian_sample", f"{width}/{label}/{n}", lambda: g.gaussian_sample(law, g.RandomSource(n), n))
+
+
+def tangent_verdicts(g, d: Digests) -> None:
+    """``as_tangent`` on rows of 2 to 5 parts with magnitudes from 1e-320 to 1.8e308."""
+    rng = np.random.default_rng(2024)
+    for i in range(TANGENT_ROWS):
+        width = 2 + i % 4
+        row = rng.choice([-1.0, 1.0], width) * 10.0 ** rng.uniform(-320, 308.25, width)
+        if i % 2:
+            # near the tangent space: the last part cancels the others' sum,
+            # up to relative and absolute errors on both sides of the tolerance
+            with np.errstate(over="ignore"):
+                last = -row[:-1].sum()
+            if np.isfinite(last):
+                row[-1] = last * (1.0 + 10.0 ** rng.uniform(-17, -9)) + rng.uniform(-3e-10, 3e-10)
+        d.add("as_tangent", f"{i}", lambda: g.as_tangent(row) is not None and "accepted")
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
+    sys.path.insert(0, str(src))
+    import gcoda
+
+    warnings.simplefilter("error", RuntimeWarning)
+    d = Digests()
+    for width in WIDTHS:
+        kernel_cases(gcoda, d, width)
+    tangent_verdicts(gcoda, d)
+    print("\n".join(d.lines()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

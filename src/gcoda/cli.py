@@ -31,9 +31,10 @@ from .errors import (
     NumericalOverflow,
 )
 from .geometry import (
-    _BLOCK_CELLS,
+    _BLOCK_CELLS,  # the cells per CSV block, as _row_blocks sizes them
     GeometryContext,
     _on_simplex,
+    _row_blocks,
     closure,
     exp_map,
     log_map,
@@ -58,14 +59,13 @@ from .stats import (
 def _rows_csv(arr: np.ndarray) -> str:
     """Rows of ``arr`` as comma-separated ``%.12g`` text, one line each.
 
-    Each block of rows is formatted by a single ``%`` on a template repeated
-    once per row; ``"%.12g" % v`` is the same text as ``format(v, ".12g")``.
+    Each block of rows (``_row_blocks``) is formatted by a single ``%`` on a
+    template repeated once per row; ``"%.12g" % v`` is the same text as
+    ``format(v, ".12g")``.
     """
     arr = np.atleast_2d(arr)
-    width = arr.shape[1]
-    row = ",".join(["%.12g"] * width)
-    step = max(1, _BLOCK_CELLS // max(1, width))
-    blocks = (arr[i:i + step] for i in range(0, len(arr), step))
+    row = ",".join(["%.12g"] * arr.shape[1])
+    blocks = (arr[s] for s in _row_blocks(*arr.shape))
     return "\n".join("\n".join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks) + "\n"
 
 
@@ -123,8 +123,8 @@ def _read_rows(path: str) -> _Table:
     Lines end at newlines only (CRLF and CR read as newlines), so a cell may
     end in other whitespace such as a form feed.  Blank lines are skipped;
     cells are read with Python's ``float()`` grammar.  Data rows are parsed
-    in blocks of about ``_BLOCK_CELLS`` cells, each by one numpy cast of its
-    split cells.  Error messages name the file and, for a non-numeric cell,
+    in the blocks of ``_row_blocks``, each by one numpy cast of its split
+    cells.  Error messages name the file and, for a non-numeric cell,
     the physical line it sits on.
     """
     try:
@@ -143,16 +143,16 @@ def _read_rows(path: str) -> _Table:
         start = 1
         if len(rows) == 1:
             raise IngestError(f"no data rows in {path}")
-    width = rows[start].count(",") + 1
-    out = np.empty((len(rows) - start, width))
-    step = max(1, _BLOCK_CELLS // width)
+    del rows[:start]
+    width = rows[0].count(",") + 1
+    out = np.empty((len(rows), width))
     ragged = False
-    for i in range(start, len(rows), step):
-        block = rows[i:i + step]
+    for s in _row_blocks(*out.shape):
+        block = rows[s]
         try:
             vals = np.array(",".join(block).split(","), dtype=float)
         except ValueError:
-            bad = i + next(j for j, ln in enumerate(block) if _parse_line(ln) is None)
+            bad = start + s.start + next(j for j, ln in enumerate(block) if _parse_line(ln) is None)
             # the physical line number of non-blank line `bad`
             lineno = next(islice(compress(count(1), lines), bad, None))
             raise IngestError(f"{path}:{lineno}: non-numeric cell") from None
@@ -160,7 +160,7 @@ def _read_rows(path: str) -> _Table:
         # non-numeric cell further down is reported first.
         ragged = ragged or set(map(str.count, block, repeat(","))) != {width - 1}
         if not ragged:
-            out[i - start:i - start + len(block)] = vals.reshape(-1, width)
+            out[s] = vals.reshape(-1, width)
     if ragged:
         raise IngestError(f"{path}: ragged rows (expected {width} columns)")
     if columns is not None and len(columns) != width:
@@ -189,14 +189,23 @@ def _ingest_compositions(ctx: GeometryContext, args) -> _Table:
         if not args.close:
             bad = int(np.flatnonzero(off)[0]) + 1
             raise IngestError(f"{args.input}: data row {bad} does not sum to 1 (pass --close to project)")
-        closed = closure(ctx, rows[off])
-        # A row far from the simplex can close to a part that underflows to 0.
-        zero = np.flatnonzero((closed == 0.0).any(axis=-1))
-        if zero.size:
-            bad = int(np.flatnonzero(off)[zero[0]]) + 1
-            raise IngestError(f"{args.input}: data row {bad} closes to a composition with a zero part")
-        out[off] = closed
+        out[off] = _no_zero_part(closure(ctx, rows[off]), f"{args.input}: data row", "closes to", np.flatnonzero(off))
     return out, columns
+
+
+def _no_zero_part(out: np.ndarray, where: str, verb: str = "gives", rows: np.ndarray | None = None) -> np.ndarray:
+    """``out``, unless one of its rows has a part that underflowed to 0.
+
+    Such a row is not a composition: a closure of data far from the simplex
+    rounds its small parts to 0.  The first one is reported as ``where``,
+    its 1-based row number (that of ``rows[i]`` when ``rows`` gives the data
+    row of each of ``out``'s rows), then ``verb``.
+    """
+    zero = np.flatnonzero((out == 0.0).any(axis=-1))
+    if zero.size:
+        i = int(zero[0] if rows is None else rows[zero[0]])
+        raise IngestError(f"{where} {i + 1} {verb} a composition with a zero part")
+    return out
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
@@ -264,7 +273,7 @@ def _cmd_param(ctx: GeometryContext, args) -> str:
 
 def _cmd_closure(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_positive(args.input)
-    return _table(args, closure(ctx, rows))
+    return _table(args, _no_zero_part(closure(ctx, rows), f"{args.input}: data row", "closes to"))
 
 
 def _cmd_log(ctx: GeometryContext, args) -> str:
@@ -274,18 +283,18 @@ def _cmd_log(ctx: GeometryContext, args) -> str:
 
 def _cmd_exp(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_free(args.input)
-    return _table(args, exp_map(ctx, rows))
+    return _table(args, _no_zero_part(exp_map(ctx, rows), f"{args.input}: data row"))
 
 
 def _cmd_perturb(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_compositions(ctx, args)
     by = closure(ctx, _parse_vector(args.by, "--by"))
-    return _table(args, perturb(ctx, rows, by))
+    return _table(args, _no_zero_part(perturb(ctx, rows, by), f"{args.input}: data row"))
 
 
 def _cmd_power(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_compositions(ctx, args)
-    return _table(args, power(ctx, args.c, rows))
+    return _table(args, _no_zero_part(power(ctx, args.c, rows), f"{args.input}: data row"))
 
 
 def _cmd_dist(ctx: GeometryContext, args) -> str:
@@ -295,7 +304,7 @@ def _cmd_dist(ctx: GeometryContext, args) -> str:
 
 def _cmd_mean(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_compositions(ctx, args)
-    return _table(args, frechet_mean(ctx, rows))
+    return _table(args, _no_zero_part(frechet_mean(ctx, rows), f"{args.input}: mean row", "is"))
 
 
 def _cmd_pca(ctx: GeometryContext, args) -> str:
@@ -321,6 +330,7 @@ def _cmd_sub(ctx: GeometryContext, args) -> str:
         raise IngestError(f"could not parse --indices: {args.indices!r}") from None
     rows, _ = _ingest_compositions(ctx, args)
     sub_ctx, sub_rows = subcompose(ctx, SubSelection(indices), rows)
+    _no_zero_part(sub_rows, f"{args.input}: data row")
     if args.format == "json":
         return _json({"param": sub_ctx.a, "rows": sub_rows})
     return _rows_csv(sub_rows)
@@ -328,7 +338,7 @@ def _cmd_sub(ctx: GeometryContext, args) -> str:
 
 def _cmd_sample(ctx: GeometryContext, args) -> str:
     law = _law_from_args(ctx, args)
-    return _table(args, gaussian_sample(law, RandomSource(args.seed), args.n))
+    return _table(args, _no_zero_part(gaussian_sample(law, RandomSource(args.seed), args.n), "sample row", "is"))
 
 
 def _cmd_density(ctx: GeometryContext, args) -> str:

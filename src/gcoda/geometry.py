@@ -90,8 +90,7 @@ _MIN_WEIGHT, _MAX_WEIGHT = 1e-300, 1e300
 # power and exp_map input, whose logarithms are unbounded.  The solve forms
 # t, t * a and sums and differences of such terms; below an eighth of
 # float64's maximum none of them overflows.
-_FLOAT_MAX = np.finfo(float).max
-_MAX_EXPONENT = _FLOAT_MAX / 8
+_MAX_EXPONENT = np.finfo(float).max / 8
 
 # Cells per block, for the wide-batch kernels here and for the CLI's CSV
 # parsing and formatting.  Blocks are sized by cells, not rows, so that a
@@ -171,8 +170,8 @@ def make_context(a) -> GeometryContext:
         raise ZeroComponent(f"weight ratio max/min exceeds {_MAX_WEIGHT_RATIO:g}; the smallest weight is zero at float64 precision")
 
     fast_path = _detect_fast_path(arr)
-    t1 = _solve_logt(arr, np.zeros(arr.size), fast_path)
-    e = _softmax_rows(t1 * arr)
+    e = np.zeros(arr.size)
+    _solve_logt(arr, e, fast_path, out=e)
     s = float(arr @ e)
 
     if not (abs(e.sum() - 1.0) <= 1e-12 and s > 0):
@@ -206,25 +205,20 @@ def _on_simplex(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def as_tangent(xi) -> np.ndarray:
-    """Validate tangent vector(s): components summing to zero."""
+    """Validate tangent vector(s): components summing to zero.
+
+    The tolerance is 1e-10, loosened in proportion to ``sum |x|`` where float
+    summation error itself grows with the vector's magnitude.  A row whose
+    ``sum |x|`` overflows float64 gets an infinite tolerance, and its own sum
+    (inf, or nan for inf - inf) never exceeds it, so the row is accepted
+    without a warning.
+    """
     arr = as_free(xi)
-    unit, mag, floor = arr, np.abs(arr), _TANGENT_SUM_TOL
-    if mag.max(initial=0.0) > _FLOAT_MAX / arr.shape[-1]:
-        # Some row's parts could sum past float64's maximum.  Each row is
-        # divided by a power of two 2**e no smaller than its largest part (a
-        # row within [-1, 1] by one).  The division is exact, so the test
-        # below is the unscaled row's with both sides divided by 2**e; a row
-        # whose sum |x| exceeds float64 keeps an unbounded tolerance.
-        e = np.maximum(np.frexp(mag.max(axis=-1))[1], 0)
-        unit = np.ldexp(arr, -e[..., None])
-        mag = np.abs(unit)
-        floor = np.where(mag.sum(axis=-1) > np.ldexp(_FLOAT_MAX, -e), np.inf, np.ldexp(_TANGENT_SUM_TOL, -e))
-    sums = np.abs(unit.sum(axis=-1))
-    # Absolute 1e-10 contract at unit scale, loosened only where float
-    # summation error itself grows with the vector magnitude.
-    tol = np.maximum(floor, 64 * np.finfo(float).eps * mag.sum(axis=-1))
-    if (sums > tol).any():
-        raise NotInTangentSpace("components must sum to 0 (within 1e-10)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.abs(arr.sum(axis=-1))
+        tol = np.maximum(_TANGENT_SUM_TOL, 64 * np.finfo(float).eps * np.abs(arr).sum(axis=-1))
+        if (sums > tol).any():
+            raise NotInTangentSpace("components must sum to 0 (within 1e-10)")
     return arr
 
 
@@ -280,20 +274,31 @@ def _softmax_rows(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(e, e.sum(axis=-1)[..., None], out=out)
 
 
-def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
-    """Row-wise exponent t with logsumexp(logx + a*t) = 0."""
+def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise exponent t with logsumexp(logx + a*t) = 0.
+
+    Given ``out`` (``logx``'s shape; it may be ``logx`` itself), the closed
+    points ``softmax(logx + a*t)`` are written there too.  The closed forms
+    close in a softmax pass at t; the Newton solve, for general weights and
+    as the quadratic's fallback, writes each row from its last evaluation,
+    bit for bit that softmax.
+    """
     if fast_path == UNIFORM:
-        return -_lse_rows(logx) / a[0]
+        t = -_lse_rows(logx) / a[0]
     # An empty batch's max is -inf, so it skips the closed form; the identity
     # leaves the max of every non-empty input as it is.
-    if fast_path == QUADRATIC and abs(logx.max(initial=-np.inf)) <= _QUAD_SAFE_LOG:
+    elif fast_path == QUADRATIC and abs(logx.max(initial=-np.inf)) <= _QUAD_SAFE_LOG:
         x = np.exp(logx)
         s_head = x[..., :-1].sum(axis=-1)
         # Rationalized positive root of  x_last*y**2 + S*y - 1 = 0, y = e^(ct);
         # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
         y = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * x[..., -1]))
-        return np.log(y) / a[0]
-    return _newton_logt(a, logx)
+        t = np.log(y) / a[0]
+    else:
+        return _newton_logt(a, logx, out)
+    if out is not None:
+        _softmax_rows(logx + t[..., None] * a, out=out)
+    return t
 
 
 def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -428,25 +433,18 @@ def _newton_vector(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None) -> n
 
 
 def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:
-    """Closed point(s) of ``exp(logx)``; ``logx`` is the caller's scratch.
+    """Closed point(s) of ``exp(logx)``, written over ``logx`` (the caller's scratch) and returned.
 
-    Under general weights the Newton solve writes the closed points over
-    ``logx`` as its rows converge.  The closed forms, and the quadratic's
-    Newton fallback, close in a separate softmax pass.  A uniform batch of
-    more than one block closes block by block over ``logx``; the
-    quadratic's guard reads the whole batch's max, so it runs whole.
+    A uniform row-matrix closes block by block; every other input closes in
+    one solve, since the quadratic's guard reads the whole batch's max and
+    the Newton solve drops rows as they converge.
     """
-    if ctx.fast_path == GENERAL:
-        _newton_logt(ctx.a, logx, out=logx)
-        return logx
-    if ctx.fast_path == UNIFORM and logx.size > _BLOCK_CELLS and logx.ndim == 2:
+    if ctx.fast_path == UNIFORM and logx.ndim == 2:
         for s in _row_blocks(*logx.shape):
-            block = logx[s]
-            t = _solve_logt(ctx.a, block, UNIFORM)
-            _softmax_rows(block + t[..., None] * ctx.a, out=block)
-        return logx
-    t = _solve_logt(ctx.a, logx, ctx.fast_path)
-    return _softmax_rows(logx + t[..., None] * ctx.a)
+            _solve_logt(ctx.a, logx[s], UNIFORM, out=logx[s])
+    else:
+        _solve_logt(ctx.a, logx, ctx.fast_path, out=logx)
+    return logx
 
 
 def _item(v):

@@ -226,8 +226,12 @@ def gaussian_density(g: SimplexGaussian, lam):
     coordinates of ``lam``.
     """
     n = g.ctx.dim - 1
-    dev = coords(g.ctx, g.basis, lam) - g.mean_coords
+    # coords returns a new array, so the deviations are formed in place in
+    # it; they are freed once solved for, and y is squared in place.
+    dev = coords(g.ctx, g.basis, lam)
+    dev -= g.mean_coords
     y = np.linalg.solve(g.chol, dev.T)
-    quad = np.sum(y * y, axis=0)
+    del dev
+    quad = np.sum(np.square(y, out=y), axis=0)
     log_det = 2.0 * np.sum(np.log(np.diag(g.chol)))
     return _item(np.exp(-0.5 * (quad + n * np.log(2.0 * np.pi) + log_det)))

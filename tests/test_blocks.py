@@ -121,3 +121,28 @@ def test_wide_batch_working_memory_is_bounded_by_its_output():
     z, peak = allocation_peak(lambda: g.coords(ctx, basis, sample))
     # the validated compositions (log-mapped in place) and the output, plus blocks
     assert peak <= 2.5 * z.nbytes
+
+
+def test_gaussian_density_working_memory_is_that_of_coords():
+    # 20000 rows of 51 parts: besides coords' output, a whole-batch density
+    # kept the deviations, the solve's y and y * y (3.0 outputs' worth)
+    ctx, basis = g.make_context(np.ones(51)), g.helmert_basis(51)
+    law = g.make_gaussian(ctx, basis, np.linspace(-0.3, 0.3, 50), 0.5 * np.eye(50))
+    lam = g.gaussian_sample(law, g.RandomSource(2), 20000)
+    z = g.coords(ctx, basis, lam)
+    _, peak = allocation_peak(lambda: g.gaussian_density(law, lam))
+    assert peak <= 2.5 * z.nbytes
+
+
+@pytest.mark.parametrize("n", (1, 2, 5000))
+def test_gaussian_density_matches_the_whole_batch_expression(n):
+    ctx, basis = g.make_context(np.linspace(0.5, 3.0, 5)), g.helmert_basis(5)
+    cov = np.array([[1.0, 0.3, 0, 0], [0.3, 2.0, 0.1, 0], [0, 0.1, 0.5, 0], [0, 0, 0, 0.8]])
+    law = g.make_gaussian(ctx, basis, np.array([0.1, -0.2, 0.3, 0.0]), cov)
+    lam = compositions(np.random.default_rng(n), n, 5)
+    for x in (lam, lam[0]):
+        dev = g.coords(ctx, basis, x) - law.mean_coords
+        y = np.linalg.solve(law.chol, dev.T)
+        log_det = 2.0 * np.sum(np.log(np.diag(law.chol)))
+        want = np.exp(-0.5 * (np.sum(y * y, axis=0) + 4 * np.log(2.0 * np.pi) + log_det))
+        assert same_bytes(np.asarray(g.gaussian_density(law, x)), want)

@@ -370,6 +370,27 @@ def test_exp_huge_tangent_row_is_one_line(tmp_path, capsys):
     assert err.startswith("gcoda: numerical failure: max|xi / e_a| = ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, rows, extra, verb", [
+    ("exp", "0.1,-0.2,0.1\n1000,-500,-500", (), "gives"),
+    ("closure", "1,2,3\n1e300,1e-300,1", (), "closes to"),
+    ("power", "0.3,0.3,0.4\n0.5,0.25,0.25", ("--c", "2000"), "gives"),
+    ("perturb", "0.3,0.3,0.4\n0.5,1e-200,0.5", ("--by", "1,1e-200,1"), "gives"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_row_with_a_zero_part_names_the_row(tmp_path, capsys, command, rows, extra, verb, fmt):
+    # the closure rounds the small parts of row 2 to 0: not a composition
+    path = write(tmp_path, "rows.csv", rows + "\n")
+    code, out, err = run_cli(capsys, command, "--param", "1,1,1", *extra, "--format", fmt, "--input", path)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: {path}: data row 2 {verb} a composition with a zero part\n"
+
+
+def test_sample_with_a_zero_part_names_the_sample_row(capsys):
+    code, out, err = run_cli(capsys, "sample", "--param", "1,1,1", "--mu", "1e300,0", "--n", "2")
+    assert code == 1 and out == ""
+    assert err == "gcoda: sample row 1 is a composition with a zero part\n"
+
+
 def test_ingest_missing_file(capsys):
     code, _, err = run_cli(capsys, "log", "--param", "1,1,1", "--input", "/nonexistent/x.csv")
     assert code == 1 and "not found" in err

@@ -210,3 +210,23 @@ def test_jsonify_nested_payload_matches_reference():
                "variances": v[6:6], "cube": v[:24].reshape(2, 3, 4), "scalar": np.float64(v[7]),
                "zero_d": np.array(v[8])}
     assert json.dumps(cli._jsonify(payload)) == json.dumps(ref_jsonify(payload))
+
+
+@pytest.mark.parametrize("width", [1, 5])
+def test_ingest_and_csv_at_the_block_fold_edges(tmp_path, width):
+    # the most rows whose rest folds into one block, and the fewest that split
+    b = cli._BLOCK_CELLS // width
+    fold = b + (b + 1) // 2
+    rng = np.random.default_rng(width)
+    for n in (fold - 1, fold):
+        arr = rng.uniform(-1, 1, (n, width))
+        lines = [",".join(repr(v) for v in row) for row in arr.tolist()]
+        path = tmp_path / f"{n}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got, want = read_both(path)
+        assert got == want and got[0] == (n, width)
+        assert cli._rows_csv(arr) == ref_rows_csv(arr)
+        # a non-numeric cell in the last row is found on its line
+        path.write_text("\n".join(lines[:-1] + ["x" + lines[-1]]) + "\n", encoding="utf-8")
+        got, want = read_both(path)
+        assert got == want == f"{path}:{n}: non-numeric cell"

@@ -321,6 +321,20 @@ def test_closures_match_separate_softmax_bitwise(a):
                     assert np.array_equal(v, v0[i])
 
 
+@pytest.mark.parametrize("a", ((1, 1, 1, 1), (1, 1, 1, 2), *BITWISE_WEIGHTS))
+def test_neutral_element_is_the_softmax_at_the_solved_exponent_bitwise(a):
+    # make_context closes (1, ..., 1) through the closure solve; e_a and s
+    # must be bit for bit the softmax of a*t at its t and the weighted sum
+    ctx = g.make_context(a)
+    arr = np.asarray(a, dtype=float)
+    t = geometry._solve_logt(arr, np.zeros(arr.size), ctx.fast_path)
+    w = t * arr
+    e = np.exp(w - w.max())
+    e /= e.sum()
+    assert np.array_equal(ctx.e_a, e)
+    assert ctx.s == float(arr @ e)
+
+
 RATIOS, SPREADS = (1e2, 1e4, 1e8, 1e12, 1e16), (5, 50, 300, 700)
 
 
@@ -591,6 +605,16 @@ def test_as_tangent_huge_parts_keep_their_verdicts():
         for xi in ([1e300, 1e300, -1e300], [1e300, -1e300, 1e287], [0.5, -0.5, 2e-10]):
             with pytest.raises(g.NotInTangentSpace):
                 g.as_tangent(xi)
+
+
+def test_as_tangent_accepts_a_row_whose_sum_is_inf_minus_inf():
+    # sum |x| overflows, so the tolerance is inf; the row's own sum is
+    # inf - inf = nan, which never exceeds it, and neither sum may warn
+    row = [1e308, 1e308, -1e308, -1e308] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(g.as_tangent(row), row)
+        assert g.as_tangent(np.array([row, [0.5, -0.5] * 8])).shape == (2, 16)
 
 
 def test_exp_map_lift_overflow_reported():
