@@ -10,7 +10,9 @@ bit moved.  The grid:
   single vectors;
 - closure input at log spreads 5 and 350 (the latter takes the quadratic
   closed form's Newton fallback);
-- 20 000 ``as_tangent`` verdicts on rows with parts up to 1.8e308.
+- 20 000 ``as_tangent`` verdicts on rows with parts up to 1.8e308;
+- the CLI's CSV text (``rows_csv``) of values over 1e-300 ... 1e300 on the
+  same widths and row counts, and of ``format_edges()``.
 
 A call that raises is hashed by its exception's type and message in place of
 an output, and a RuntimeWarning counts as raised.  Stdlib and numpy only;
@@ -128,6 +130,36 @@ def kernel_cases(g, d: Digests, width: int) -> None:
             d.add("gaussian_sample", f"{width}/{label}/{n}", lambda: g.gaussian_sample(law, g.RandomSource(n), n))
 
 
+def format_edges() -> np.ndarray:
+    """Values at the edges of ``%.12g`` text, with both signs.
+
+    Zero, the smallest subnormal and the largest float64; 10**k and its two
+    neighbours for k in -308 ... 308; exact rounding ties; the carries of
+    999999999999.5 and 9.9999999999995e-5 to the next power of ten; and both
+    sides of the switches to scientific notation at 1e-4 and 1e12.
+    """
+    tens = np.array([float(f"1e{k}") for k in range(-308, 309)])
+    ties = [123456789012.5, 1234567890125.0, 100000000000.5, 0.5, 2.5]
+    carries = [999999999999.5, 9.9999999999995e-5, 9.99999999999949e-5, 999999999999.4]
+    switches = [1e-4, 9.99999999999e-5, 0.000100000000001, 1e12, 999999999999.0, 1.00000000001e12]
+    edges = np.concatenate([[0.0, 5e-324, np.finfo(float).max], tens, np.nextafter(tens, 0.0),
+                            np.nextafter(tens, np.inf), ties, carries, switches])
+    return np.concatenate([edges, -edges])
+
+
+def csv_cases(cli, d: Digests, width: int) -> None:
+    """``_rows_csv`` text of ``width`` columns: random magnitudes at the block edges, and the edge values."""
+    for n in row_counts(width):
+        rng = np.random.default_rng([width, n, 12])
+        wide = rng.choice([-1.0, 1.0], (n, width)) * 10.0 ** rng.uniform(-300, 300, (n, width))
+        near = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-6, 14, (n, width))
+        d.add("rows_csv", f"{width}/{n}/wide", lambda: cli._rows_csv(wide))
+        d.add("rows_csv", f"{width}/{n}/near", lambda: cli._rows_csv(near))
+    edges = format_edges()
+    edges = np.resize(edges, (-(-edges.size // width), width))
+    d.add("rows_csv", f"{width}/edges", lambda: cli._rows_csv(edges))
+
+
 def tangent_verdicts(g, d: Digests) -> None:
     """``as_tangent`` on rows of 2 to 5 parts with magnitudes from 1e-320 to 1.8e308."""
     rng = np.random.default_rng(2024)
@@ -148,12 +180,15 @@ def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
     sys.path.insert(0, str(src))
     import gcoda
+    from gcoda import cli
 
     warnings.simplefilter("error", RuntimeWarning)
     d = Digests()
     for width in WIDTHS:
         kernel_cases(gcoda, d, width)
     tangent_verdicts(gcoda, d)
+    for width in WIDTHS:
+        csv_cases(cli, d, width)
     print("\n".join(d.lines()))
     return 0
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import html
 import json
+import math
 import re
 import sys
+from functools import cache
 from itertools import compress, count, islice, repeat
 from pathlib import Path
 
@@ -56,17 +58,111 @@ from .stats import (
 # ---------------------------------------------------------------------------
 # Formatting
 
+# The %.12g kernel writes each cell as five 8-byte words, NUL bytes padding
+# what the cell does not use:
+#   word 0     "-" for a negative cell, then "0." and up to three zeros for
+#              fixed notation below 1;
+#   words 1-3  the 12 mantissa digits, four per word, each followed by a slot
+#              that holds the decimal point or a NUL;
+#   word 4     scientific notation's "e", exponent sign and 2 or 3 exponent
+#              digits, then the separator: "," or, after a row's last cell, "\n".
+# Deleting the NULs leaves the text of format(v, ".12g").  Every word is read
+# from a table indexed by the cell's digits, exponent and sign.
+
+_EXP = 305  # the tables cover exponents -_EXP ... _EXP
+
+
+def _packed(texts, width: int = 8) -> np.ndarray:
+    """Byte strings, each NUL-padded to ``width`` bytes, as rows of 8-byte words."""
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint64).reshape(-1, width // 8)
+
+
+@cache
+def _g12_tables() -> tuple[np.ndarray, ...]:
+    """The kernel's tables, built on first use rather than at import.
+
+    ``groups[g]``: the 4 digits of ``g``, each before an empty slot;
+    ``trailing[g]``: the trailing zeros of ``g``; ``keep[k]``: a mask of the
+    first ``k`` digits of words 1-3; ``point[j]``: a decimal point after
+    digit ``j``, none for 12; ``head[6 * sign + p]``: "-" if ``sign``, then
+    the first ``p`` bytes of "0.000"; ``tail[1 + _EXP + e]``: "e%+03d" % e,
+    none at 0; ``pow10[_EXP + k]``: 10**k, within one ulp (tested).
+    """
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    groups = np.zeros((10000, 8), np.uint8)
+    groups[:, ::2] = digits + ord("0")
+    z = (digits == 0).astype(np.uint8)
+    trailing = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0])))
+    keep = _packed((b"\xff\0" * k for k in range(13)), 24)
+    point = _packed([b"\0\0" * j + b"\0." for j in range(12)] + [b""], 24)
+    head = _packed(("-" * sign + "0.000"[:p]).encode() for sign in (0, 1) for p in range(6))
+    tail = _packed([b""] + [b"e%+03d" % e for e in range(-_EXP, _EXP + 1)])
+    pow10 = 10.0 ** np.arange(-_EXP, _EXP + 1)
+    return groups.view(np.uint64), trailing, keep, point, head, tail, pow10
+
+
+def _g12_text(x: np.ndarray, sep: np.ndarray) -> str:
+    """The text of the float64 cells ``x``, rows of ``len(sep)`` cells ended by the words ``sep``.
+
+    A cell ``v`` with ``|v|`` in [1e-290, 1e290] takes its mantissa from
+    ``m = |v| * 10**(11 - floor(log10|v|))``, within 3.4e-4 of the exact
+    product.  ``rint(m)`` is then ``%.12g``'s rounding unless ``m`` lies
+    within 1e-3 of a tie, or outside [1e11, 1e12) because ``log10`` was off
+    by one.  Those cells, and the non-finite ones, are written by
+    ``format``; zeros are written as "0" and "-0".
+    """
+    groups, trailing, keep, point, head, tail, pow10 = _g12_tables()
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 1e-290) & (a <= 1e290)
+    a = np.where(fast, a, 1.0)  # zeros and cells for format compute on 1
+    exp = np.floor(np.log10(a)).astype(np.intp)
+    m = a * pow10[_EXP + 11 - exp]
+    slow = ~(fast | zero) | (np.abs(m - np.floor(m) - 0.5) < 1e-3) | (m < 1e11) | (m >= 1e12)
+    m = np.rint(m)
+    carry = m >= 1e12  # 999999999999.5 and up round to 1e12: one more exponent
+    exp += carry
+    m[carry] = 1e11
+    m[zero] = 0.0
+    # The three 4-digit groups of m, exactly: m is an integer below 2**53.
+    g = np.empty((x.size, 3))
+    g[:, 0] = np.floor(m / 1e8)
+    m -= 1e8 * g[:, 0]
+    g[:, 1] = np.floor(m / 1e4)
+    g[:, 2] = m - 1e4 * g[:, 1]
+    g = g.astype(np.intp)
+    t = trailing[g]
+    zeros = t[:, 2] + (g[:, 2] == 0) * (t[:, 1] + (g[:, 1] == 0) * t[:, 0])
+    sci = (exp < -4) | (exp >= 12)
+    # Digits kept: trailing zeros go, except the integer digits of fixed notation.
+    kept = np.where(sci, 12 - zeros, np.maximum(exp + 1, 12 - zeros))
+    after = np.where(sci, 0, exp)  # the digit the decimal point follows, if any digit follows it
+    after = np.where((kept > after + 1) & (after >= 0), after, 12)
+    buf = bytearray(40 * x.size)  # the words' bytes: deleting the NULs takes no copy of them
+    words = np.frombuffer(buf, np.uint64).reshape(-1, 5)
+    words[:, :1] = head[6 * np.signbit(x) + np.where(sci | (exp >= 0), 0, 1 - exp)]
+    words[:, 1:4] = groups[g, 0] & keep[kept] | point[after]
+    words[:, 4:] = tail[np.where(sci & ~slow, 1 + _EXP + exp, 0)]
+    for i, v in zip(np.flatnonzero(slow).tolist(), x[slow].tolist()):
+        buf[40 * i:40 * i + 32] = format(v, ".12g").encode().ljust(32, b"\0")  # words 0-3
+    words.reshape(-1, len(sep), 5)[:, :, 4:] |= sep
+    return buf.translate(None, b"\0").decode("ascii")
+
+
 def _rows_csv(arr: np.ndarray) -> str:
     """Rows of ``arr`` as comma-separated ``%.12g`` text, one line each.
 
-    Each block of rows (``_row_blocks``) is formatted by a single ``%`` on a
-    template repeated once per row; ``"%.12g" % v`` is the same text as
-    ``format(v, ".12g")``.
+    The text is byte for byte that of ``format(v, ".12g")`` per cell.  Each
+    block of rows (``_row_blocks``) is written by one pass of the numpy
+    kernel above, which reads every cell's digits, decimal point, exponent
+    and separator from lookup tables and then deletes its padding bytes.
+    The few cells it cannot round with certainty (within 1e-3 of a rounding
+    tie), non-finite cells and those with ``|v|`` outside [1e-290, 1e290],
+    zeros aside, are written by ``format`` itself.
     """
-    arr = np.atleast_2d(arr)
-    row = ",".join(["%.12g"] * arr.shape[1])
-    blocks = (arr[s] for s in _row_blocks(*arr.shape))
-    return "\n".join("\n".join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks) + "\n"
+    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    sep = _packed([b"\0" * 5 + b","] * (arr.shape[1] - 1) + [b"\0" * 5 + b"\n"])
+    return "".join([_g12_text(arr[s].ravel(), sep) for s in _row_blocks(*arr.shape)]) or "\n"
 
 
 def _jsonify(obj):
@@ -288,11 +384,17 @@ def _cmd_exp(ctx: GeometryContext, args) -> str:
 
 def _cmd_perturb(ctx: GeometryContext, args) -> str:
     rows, _ = _ingest_compositions(ctx, args)
-    by = closure(ctx, _parse_vector(args.by, "--by"))
+    by = _parse_vector(args.by, "--by")
+    try:
+        by = _no_zero_part(closure(ctx, by), "row", "closes to")
+    except GcodaError as exc:
+        raise type(exc)(f"--by: {exc}") from None
     return _table(args, _no_zero_part(perturb(ctx, rows, by), f"{args.input}: data row"))
 
 
 def _cmd_power(ctx: GeometryContext, args) -> str:
+    if not math.isfinite(args.c):
+        raise IngestError(f"--c must be finite, got {args.c}")
     rows, _ = _ingest_compositions(ctx, args)
     return _table(args, _no_zero_part(power(ctx, args.c, rows), f"{args.input}: data row"))
 

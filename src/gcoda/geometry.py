@@ -37,6 +37,7 @@ from .errors import (
     DimensionMismatch,
     MixedSignParameter,
     NonConvergence,
+    NonPositiveValue,
     NotInTangentSpace,
     NotOnSimplex,
     NumericalOverflow,
@@ -554,10 +555,13 @@ def perturb(ctx: GeometryContext, lam, mu) -> np.ndarray:
 def power(ctx: GeometryContext, c: float, lam) -> np.ndarray:
     """Scalar multiplication: closure of componentwise c-th powers.
 
-    Raises :class:`NumericalOverflow` when ``|c| * max|log lam|`` is so large
-    that the closure solve would overflow float64: beyond about 1e307 for
-    weights near 1, less for weights far apart or far below 1.
+    Raises :class:`NonPositiveValue` when ``c`` is nan, and
+    :class:`NumericalOverflow` when ``|c| * max|log lam|`` is so large that
+    the closure solve would overflow float64 (an infinite ``c`` too): beyond
+    about 1e307 for weights near 1, less for weights far apart or far below 1.
     """
+    if math.isnan(c):
+        raise NonPositiveValue("scalar c must be a number, got nan")
     la = as_composition(lam)
     _check_dim(ctx, la)
     logx = np.log(la)

@@ -216,6 +216,25 @@ def test_power_overflow_is_one_line(tmp_path, capsys):
     assert err.startswith("gcoda: numerical failure: ") and "too large" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_power_non_finite_c_is_a_validation_error(tmp_path, capsys, value):
+    path = write(tmp_path, "c.csv", "0.2,0.3,0.5\n")
+    code, out, err = run_cli(capsys, "power", "--param", "1,1,1", "--input", path, f"--c={value}")
+    assert code == 1 and out == ""
+    assert err == f"gcoda: --c must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("by, message", [
+    ("1e300,1e-300,1", "row 1 closes to a composition with a zero part"),
+    ("0,1,1", "components must be strictly positive"),
+])
+def test_perturb_by_error_names_the_flag(tmp_path, capsys, by, message):
+    path = write(tmp_path, "c.csv", "0.2,0.3,0.5\n")
+    code, out, err = run_cli(capsys, "perturb", "--param", "1,1,1", "--input", path, "--by", by)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: --by: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [("exp", "--input", "{tan}"), ("sample", "--n", "3"), ("mean", "--input", "{comp}")])
 def test_neutral_element_zero_part_is_one_line(tmp_path, capsys, argv):
     # weights (1e-4, 1, 1e4) give e_a = (0.99928, 7.2e-4, 0.0): exp_map cannot lift

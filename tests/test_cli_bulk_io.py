@@ -6,13 +6,15 @@ same arrays bit for bit, the same error messages, and the same text.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gcoda import IngestError
-from gcoda import cli
+from gcoda import cli, geometry
 
 STEP = cli._BLOCK_CELLS // 5  # rows per ingest block of a 5-column file
 
@@ -230,3 +232,57 @@ def test_ingest_and_csv_at_the_block_fold_edges(tmp_path, width):
         path.write_text("\n".join(lines[:-1] + ["x" + lines[-1]]) + "\n", encoding="utf-8")
         got, want = read_both(path)
         assert got == want == f"{path}:{n}: non-numeric cell"
+
+
+# ---------------------------------------------------------------------------
+# The %.12g kernel of _rows_csv, against format(v, ".12g")
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from output_digest import format_edges  # noqa: E402
+
+
+def assert_formats_like_format(arr):
+    """``_rows_csv(arr)`` is the reference text as a whole and cell by cell."""
+    text = cli._rows_csv(arr)
+    assert text == ref_rows_csv(arr)
+    assert text.replace("\n", ",").split(",")[:-1] == [format(v, ".12g") for v in arr.ravel().tolist()]
+
+
+def from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**64 - 1).map(lambda b: from_bits(b).item()), st.floats()),
+                min_size=1, max_size=60), st.integers(1, 6))
+@example([from_bits(b).item() for b in (0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+                                         0x7FF0000000000000, 0xFFF0000000000000, 1, 0x800FFFFFFFFFFFFF)], 3)
+def test_any_bit_pattern_formats_like_format(values, width):
+    # nan payloads and signs, subnormals and infinities included
+    x = np.array(values + [0.0] * (-len(values) % width))
+    assert_formats_like_format(x.reshape(-1, width))
+
+
+def test_format_edges_format_like_format():
+    edges = format_edges()
+    assert_formats_like_format(edges[:, None])
+    assert_formats_like_format(np.resize(edges, (len(edges) // 7, 7)))
+
+
+@pytest.mark.parametrize("cells", [cli._BLOCK_CELLS, 64])
+@pytest.mark.parametrize("width", [1, 5, 1000])
+def test_csv_at_the_block_fold_edges_with_edge_values(monkeypatch, cells, width):
+    # one block, a rest folded into the block before it, a rest kept
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
+    b = max(1, cells // width)
+    fold = b + (b + 1) // 2
+    edges = format_edges()
+    for n in sorted({1, b - 1, b, b + 1, fold - 1, fold, 2 * b + 1} - {0}):
+        assert_formats_like_format(np.resize(np.roll(edges, n), (n, width)))
+
+
+def test_power_of_ten_table_is_within_one_ulp():
+    # the kernel's error bound on |v| * 10**k, and so its 1e-3 tie margin, rests on it
+    pow10 = cli._g12_tables()[-1]
+    exact = np.array([float(f"1e{k}") for k in range(-cli._EXP, cli._EXP + 1)])
+    assert (np.abs(pow10 - exact) <= np.spacing(exact)).all()

@@ -441,6 +441,12 @@ def test_power_overflow_reported(ctx112):
         g.power(ctx112, float("inf"), [0.2, 0.3, 0.5])
 
 
+def test_power_rejects_a_nan_scalar(ctx112):
+    # nan is invalid input, not a magnitude the closure solve cannot take
+    with pytest.raises(g.NonPositiveValue, match="^scalar c must be a number, got nan$"):
+        g.power(ctx112, float("nan"), [0.2, 0.3, 0.5])
+
+
 def test_power_huge_scalar_closes_or_overflows():
     # every case either closes cleanly or raises NumericalOverflow: no
     # RuntimeWarning from c * log(lam) or from t * a in the closure solve
