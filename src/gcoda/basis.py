@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import GeometryContext, exp_map, log_map
+from .geometry import GeometryContext, _lift, log_map
 
 __all__ = ["TangentBasis", "helmert_basis", "coords", "from_coords"]
 
@@ -54,9 +54,16 @@ def coords(ctx: GeometryContext, basis: TangentBasis, lam) -> np.ndarray:
 
 def from_coords(ctx: GeometryContext, basis: TangentBasis, z) -> np.ndarray:
     """Composition(s) with the given basis coordinates; inverse of :func:`coords`."""
+    xi = _tangent(ctx, basis, z)
+    # The basis product is a new array, so it is lifted and closed in place.
+    return _lift(ctx, xi, out=xi)
+
+
+def _tangent(ctx: GeometryContext, basis: TangentBasis, z) -> np.ndarray:
+    """Tangent vector(s) with basis coordinates ``z``, as a new array."""
     if basis.dim != ctx.dim:
         raise DimensionMismatch("basis dimension does not match the geometry")
     za = np.asarray(z, dtype=float)
     if za.shape[-1] != basis.dim - 1:
         raise DimensionMismatch(f"expected {basis.dim - 1} coordinates, got {za.shape[-1]}")
-    return exp_map(ctx, za @ basis.vectors)
+    return za @ basis.vectors

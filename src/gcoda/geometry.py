@@ -217,9 +217,14 @@ def as_tangent(xi) -> np.ndarray:
     arr = as_free(xi)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.abs(arr.sum(axis=-1))
-        tol = np.maximum(_TANGENT_SUM_TOL, 64 * np.finfo(float).eps * np.abs(arr).sum(axis=-1))
-        if (sums > tol).any():
-            raise NotInTangentSpace("components must sum to 0 (within 1e-10)")
+        # The tolerance is never below 1e-10, so only the rows beyond 1e-10
+        # need their sum |x|; a nan sum exceeds nothing.
+        big = sums > _TANGENT_SUM_TOL
+        if big.any():
+            mag = arr[big]
+            tol = 64 * np.finfo(float).eps * np.abs(mag, out=mag).sum(axis=-1)
+            if (sums[big] > tol).any():
+                raise NotInTangentSpace("components must sum to 0 (within 1e-10)")
     return arr
 
 
@@ -533,16 +538,27 @@ def exp_map(ctx: GeometryContext, xi) -> np.ndarray:
     ``max|xi / e_a|`` beyond about 1e307 for weights near 1 (less for weights
     far apart or far below 1), raises :class:`NumericalOverflow`.
     """
+    return _lift(ctx, xi)
+
+
+def _lift(ctx: GeometryContext, xi, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`exp_map`, with the lift ``xi / e_a`` written to ``out`` and closed there.
+
+    Without ``out`` the lift is a new array; a caller that owns ``xi`` (a
+    new float64 array) passes it as ``out`` too, and it is closed in place.
+    """
     arr = as_tangent(xi)
     _check_dim(ctx, arr)
     if not ctx.e_a.all():
         part = int(np.argmin(ctx.e_a)) + 1
         raise ZeroComponent(f"part {part} of the neutral element is zero at float64 precision; exp_map cannot lift through it")
     # max|xi / e_a| from per-part maxima, in Python floats so that forming it
-    # cannot overflow with a warning
-    part_max = np.abs(arr).reshape(-1, ctx.dim).max(axis=0, initial=0.0)
+    # cannot overflow with a warning; a part's max|xi| is the larger of its
+    # max and minus its min, with no array of |xi|
+    flat = arr.reshape(-1, ctx.dim)
+    part_max = np.maximum(flat.max(axis=0, initial=0.0), -flat.min(axis=0, initial=0.0))
     _check_exponent(ctx, max(m / e for m, e in zip(part_max.tolist(), ctx.e_a.tolist())), "max|xi / e_a|")
-    return _closure_logx(ctx, arr / ctx.e_a)
+    return _closure_logx(ctx, np.divide(arr, ctx.e_a, out=out))
 
 
 def perturb(ctx: GeometryContext, lam, mu) -> np.ndarray:
@@ -555,13 +571,13 @@ def perturb(ctx: GeometryContext, lam, mu) -> np.ndarray:
 def power(ctx: GeometryContext, c: float, lam) -> np.ndarray:
     """Scalar multiplication: closure of componentwise c-th powers.
 
-    Raises :class:`NonPositiveValue` when ``c`` is nan, and
+    Raises :class:`NonPositiveValue` when ``c`` is nan or infinite, and
     :class:`NumericalOverflow` when ``|c| * max|log lam|`` is so large that
-    the closure solve would overflow float64 (an infinite ``c`` too): beyond
-    about 1e307 for weights near 1, less for weights far apart or far below 1.
+    the closure solve would overflow float64: beyond about 1e307 for weights
+    near 1, less for weights far apart or far below 1.
     """
-    if math.isnan(c):
-        raise NonPositiveValue("scalar c must be a number, got nan")
+    if not math.isfinite(c):
+        raise NonPositiveValue(f"scalar c must be finite, got {c}")
     la = as_composition(lam)
     _check_dim(ctx, la)
     logx = np.log(la)
@@ -605,9 +621,14 @@ def pairwise_distance(ctx: GeometryContext, rows) -> np.ndarray:
     # Direct differencing row by row; the Gram-matrix shortcut loses ~1e-8
     # of absolute accuracy to cancellation near the diagonal.  Each pair is
     # computed once, for the strict upper triangle, and mirrored: xi[j] - xi[i]
-    # is bitwise -(xi[i] - xi[j]), so both orders give the same norm.
+    # is bitwise -(xi[i] - xi[j]), so both orders give the same norm.  The
+    # norm is np.linalg.norm's along axis 1, sqrt(sum(d * d)), with the
+    # differences squared in place in one buffer rather than through a copy.
+    buf = np.empty_like(xi)
     for i in range(m - 1):
-        out[i, i + 1:] = out[i + 1:, i] = np.linalg.norm(xi[i + 1:] - xi[i], axis=1)
+        d = np.subtract(xi[i + 1:], xi[i], out=buf[i + 1:])
+        d *= d
+        out[i, i + 1:] = out[i + 1:, i] = np.sqrt(np.add.reduce(d, axis=1))
     return out
 
 

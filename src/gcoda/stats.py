@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TangentBasis, coords, from_coords
+from .basis import TangentBasis, _tangent, coords, from_coords
 from .errors import DimensionMismatch, NonPositiveValue, NotPositiveDefinite
-from .geometry import GeometryContext, _item, _row_blocks, exp_map, log_map
+from .geometry import GeometryContext, _item, _lift, _row_blocks, exp_map, log_map
 
 __all__ = [
     "frechet_mean",
@@ -175,13 +175,19 @@ class RandomSource:
 
 @dataclass(frozen=True)
 class SimplexGaussian:
-    """Normal law on the simplex: coordinate mean, covariance and its Cholesky factor."""
+    """Normal law on the simplex: coordinate mean, covariance and its Cholesky factor.
+
+    ``log_det`` is the covariance's log-determinant and ``n_log_2pi`` is
+    ``N * log(2 pi)``, the density's constant terms.
+    """
 
     ctx: GeometryContext
     basis: TangentBasis
     mean_coords: np.ndarray
     covariance: np.ndarray
     chol: np.ndarray
+    log_det: float
+    n_log_2pi: float
 
 
 def make_gaussian(ctx: GeometryContext, basis: TangentBasis, mean_coords, covariance) -> SimplexGaussian:
@@ -200,7 +206,8 @@ def make_gaussian(ctx: GeometryContext, basis: TangentBasis, mean_coords, covari
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("covariance must be positive definite") from exc
-    return SimplexGaussian(ctx=ctx, basis=basis, mean_coords=mu, covariance=cov, chol=chol)
+    return SimplexGaussian(ctx=ctx, basis=basis, mean_coords=mu, covariance=cov, chol=chol,
+                           log_det=2.0 * np.sum(np.log(np.diag(chol))), n_log_2pi=n * np.log(2.0 * np.pi))
 
 
 def gaussian_mean(g: SimplexGaussian) -> np.ndarray:
@@ -213,10 +220,13 @@ def gaussian_sample(g: SimplexGaussian, rng: RandomSource, n: int) -> np.ndarray
     if n < 1:
         raise DimensionMismatch("need n >= 1 samples")
     n_coords = g.ctx.dim - 1
-    # The normals are freed once transformed, and the mean is added in place.
+    # The normals are freed once transformed, the mean is added in place, and
+    # y is freed once lifted through the basis; the lift closes in place.
     y = rng.normals(n * n_coords).reshape(n, n_coords) @ g.chol.T
     y += g.mean_coords
-    return from_coords(g.ctx, g.basis, y)
+    xi = _tangent(g.ctx, g.basis, y)
+    del y
+    return _lift(g.ctx, xi, out=xi)
 
 
 def gaussian_density(g: SimplexGaussian, lam):
@@ -225,7 +235,6 @@ def gaussian_density(g: SimplexGaussian, lam):
     Equals the ordinary multivariate normal density evaluated at the
     coordinates of ``lam``.
     """
-    n = g.ctx.dim - 1
     # coords returns a new array, so the deviations are formed in place in
     # it; they are freed once solved for, and y is squared in place.
     dev = coords(g.ctx, g.basis, lam)
@@ -233,5 +242,4 @@ def gaussian_density(g: SimplexGaussian, lam):
     y = np.linalg.solve(g.chol, dev.T)
     del dev
     quad = np.sum(np.square(y, out=y), axis=0)
-    log_det = 2.0 * np.sum(np.log(np.diag(g.chol)))
-    return _item(np.exp(-0.5 * (quad + n * np.log(2.0 * np.pi) + log_det)))
+    return _item(np.exp(-0.5 * (quad + g.n_log_2pi + g.log_det)))

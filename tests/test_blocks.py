@@ -123,6 +123,21 @@ def test_wide_batch_working_memory_is_bounded_by_its_output():
     assert peak <= 2.5 * z.nbytes
 
 
+@pytest.mark.parametrize("rows, width", ((20000, 51), (50000, 5)))
+def test_exp_path_lifts_its_own_basis_product(rows, width):
+    # Uniform weights.  The lift xi / e_a is closed in place of the basis
+    # product: beyond its output, from_coords holds blocks and per-row
+    # values, and the sampler its transformed normals while they pass
+    # through the basis.
+    ctx, basis = g.make_context(np.ones(width)), g.helmert_basis(width)
+    law = g.make_gaussian(ctx, basis, np.zeros(width - 1), 0.2 * np.eye(width - 1))
+    sample, peak = allocation_peak(lambda: g.gaussian_sample(law, g.RandomSource(1), rows))
+    assert peak <= 2.1 * sample.nbytes
+    z = np.random.default_rng(1).normal(size=(rows, width - 1))
+    lam, peak = allocation_peak(lambda: g.from_coords(ctx, basis, z))
+    assert peak <= 1.5 * lam.nbytes
+
+
 def test_gaussian_density_working_memory_is_that_of_coords():
     # 20000 rows of 51 parts: besides coords' output, a whole-batch density
     # kept the deviations, the solve's y and y * y (3.0 outputs' worth)

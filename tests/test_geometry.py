@@ -438,12 +438,16 @@ def test_quadratic_guard_falls_back_to_newton(ctx112):
 
 def test_power_overflow_reported(ctx112):
     with pytest.raises(g.NumericalOverflow):
-        g.power(ctx112, float("inf"), [0.2, 0.3, 0.5])
+        g.power(ctx112, 1e308, [0.2, 0.3, 0.5])
+    # an infinite c is invalid input, as nan is
+    for c in (float("inf"), float("-inf")):
+        with pytest.raises(g.NonPositiveValue, match=f"^scalar c must be finite, got {c}$"):
+            g.power(ctx112, c, [0.2, 0.3, 0.5])
 
 
 def test_power_rejects_a_nan_scalar(ctx112):
     # nan is invalid input, not a magnitude the closure solve cannot take
-    with pytest.raises(g.NonPositiveValue, match="^scalar c must be a number, got nan$"):
+    with pytest.raises(g.NonPositiveValue, match="^scalar c must be finite, got nan$"):
         g.power(ctx112, float("nan"), [0.2, 0.3, 0.5])
 
 
@@ -623,6 +627,50 @@ def test_as_tangent_accepts_a_row_whose_sum_is_inf_minus_inf():
         assert g.as_tangent(np.array([row, [0.5, -0.5] * 8])).shape == (2, 16)
 
 
+def test_as_tangent_verdicts_are_those_of_the_full_tolerance():
+    # as_tangent forms sum |x| only for rows whose |sum| exceeds 1e-10; each
+    # verdict must still be that of |sum| > max(1e-10, 64 eps sum |x|)
+    def accepted(row):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return not abs(row.sum()) > max(1e-10, 64 * np.finfo(float).eps * np.abs(row).sum())
+
+    def pad(head):
+        return np.array(head + [0.0] * (16 - len(head)))
+
+    rows = [pad([1e300, -1e300, 1.5e-10]), pad([1.0, -1.0, 1.5e-10]), pad([1.0, -1.0, 0.5e-10]),
+            pad([1e300, 1e300, -1e300]), pad([1e308, 1e308, -1e308]), np.array([1e308, 1e308, -1e308, -1e308] * 4)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(rows[4].sum()) and np.isnan(rows[5].sum())
+    verdicts = [True, False, True, False, True, True]
+    assert [accepted(row) for row in rows] == verdicts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row, ok in zip(rows, verdicts):
+            if ok:
+                assert g.as_tangent(row) is not None
+            else:
+                with pytest.raises(g.NotInTangentSpace):
+                    g.as_tangent(row)
+        assert g.as_tangent(np.array([r for r, ok in zip(rows, verdicts) if ok])).shape == (4, 16)
+        with pytest.raises(g.NotInTangentSpace):
+            g.as_tangent(np.array(rows))
+
+
+@pytest.mark.parametrize("weights", ([1, 1, 1, 1, 1], [1, 1, 1, 1, 2], [0.7, 1.3, 2.2, 0.9, 3.1]))
+def test_exp_map_leaves_its_input_unchanged(weights):
+    ctx = g.make_context(weights)
+    lam = random_compositions(np.random.default_rng(7), 300, 5)
+    xi = g.log_map(ctx, lam)
+    for arg in (xi, xi[0]):
+        before = arg.tobytes()
+        out = g.exp_map(ctx, arg)
+        assert arg.tobytes() == before and not np.shares_memory(out, arg)
+        # a read-only input is read, never written
+        frozen = arg.copy()
+        frozen.setflags(write=False)
+        assert g.exp_map(ctx, frozen).tobytes() == out.tobytes()
+
+
 def test_exp_map_lift_overflow_reported():
     ctx = g.make_context([1, 2, 3])
     with warnings.catch_warnings():
@@ -754,6 +802,17 @@ def test_pairwise_distance(ctx_gen):
         assert not np.diag(M).any()
         assert np.array_equal(M, pairwise_distance_ref(ctx, lam))
         assert abs(M[2, 7] - g.distance(ctx, lam[2], lam[7])) < 1e-12
+
+
+@pytest.mark.parametrize("width, m", ((5, 1), (5, 2), (5, 60), (51, 30)))
+def test_pairwise_distance_is_symmetric_and_matches_distance(width, m):
+    rng = np.random.default_rng(width * m)
+    ctx = g.make_context(random_weights(rng, width))
+    lam = random_compositions(rng, m, width)
+    M = g.pairwise_distance(ctx, lam)
+    assert np.array_equal(M, M.T) and not np.diag(M).any()
+    for i in range(m):
+        np.testing.assert_allclose(M[i], g.distance(ctx, lam, lam[i]), rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
