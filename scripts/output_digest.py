@@ -12,7 +12,14 @@ bit moved.  The grid:
   closed form's Newton fallback);
 - 20 000 ``as_tangent`` verdicts on rows with parts up to 1.8e308;
 - the CLI's CSV text (``rows_csv``) of values over 1e-300 ... 1e300 on the
-  same widths and row counts, and of ``format_edges()``.
+  same widths and row counts, and of ``format_edges()``;
+- the CLI's CSV ingest (``read_rows``) of files on the same widths and row
+  counts: plain ones (numpy's reader takes those of 256 KiB or more), ones
+  with a byte order mark, CRLF and blank lines, and ones it leaves to the
+  ``float()`` parser (a cell only ``float()`` reads, a non-numeric cell, a
+  ragged row), plus small files at the edges of the grammar;
+- the CLI's JSON text (``json``) of arrays and payloads on the same widths
+  and row counts, written directly or through ``json.dumps``.
 
 A call that raises is hashed by its exception's type and message in place of
 an output, and a RuntimeWarning counts as raised.  Stdlib and numpy only;
@@ -23,6 +30,7 @@ Usage: python3 scripts/output_digest.py [SRC]   (default: the src/ beside this s
 
 import hashlib
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -160,6 +168,69 @@ def csv_cases(cli, d: Digests, width: int) -> None:
     d.add("rows_csv", f"{width}/edges", lambda: cli._rows_csv(edges))
 
 
+# Cells only float() reads, or that no reader takes: each sends a file to the CLI's float() parser.
+FALLBACK_CELLS = ["1_0", "\u0661\u0662", "0.5\x1c", " 1e5\x85", "x", "", "1 2", "0x10", "0.5\0"]
+SMALL_FILES = ["", " \n\t\n", "a,b\n", "a,b", "\ufeff\n a , b \r\n\r\n0.5,-2e-3\r\n", "a,b,c\n0.2,0.8\n",
+               "0.2,0.8\n \n0.5,0.5\n", "0.2,0.8\n\f\n0.5,0.5\n", "0.2,0.8\n0.5\x1c,0.5\n", "\x1c0.2,0.8\x1d\n",
+               "\xa00.2 ,\t0.8\f\n0.5\x85,\u20280.5\n", "nan,-inf\n1e400,-1e-400\n", "0.2,0.8\n0.5\n", "1,2\r3,4"]
+
+
+def read_cases(cli, d: Digests, width: int, root: Path) -> None:
+    """``_read_rows`` on files of ``width`` columns, written under ``root``, at the block edges."""
+    def read(path: Path):
+        try:
+            return cli._read_rows(str(path))
+        except cli.IngestError as exc:  # the message names the file: drop its directory
+            raise cli.IngestError(str(exc).replace(str(root), "")) from None
+
+    def add(case: str, text: str) -> None:
+        path = root / "in.csv"
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        d.add("read_rows", case, lambda: read(path))
+
+    for n in row_counts(width):
+        rng = np.random.default_rng([width, n, 13])
+        values = rng.choice([-1.0, 1.0], (n, width)) * 10.0 ** rng.uniform(-300, 300, (n, width))
+        rows = [",".join(map(repr, row)) for row in values.tolist()]
+        header = ",".join(f"p{i}" for i in range(width))
+        add(f"{width}/{n}/plain", "\n".join([header] + rows) + "\n")
+        spaced = [row if i % 100 else "\r\n" + row for i, row in enumerate(rows)]
+        add(f"{width}/{n}/bom-crlf-blank", "\ufeff" + "\r\n".join(spaced))
+        i, j = int(rng.integers(n)), int(rng.integers(width))
+        for cell in FALLBACK_CELLS:
+            cells = rows[i].split(",")
+            cells[j] = cell
+            add(f"{width}/{n}/{cell!r}", "\n".join(rows[:i] + [",".join(cells)] + rows[i + 1:]) + "\n")
+        add(f"{width}/{n}/ragged", "\n".join(rows[:i] + [rows[i] + ",0.5"] + rows[i + 1:]) + "\n")
+    if width == WIDTHS[0]:
+        for k, text in enumerate(SMALL_FILES):
+            add(f"small/{k}", text)
+
+
+def json_cases(cli, d: Digests, width: int) -> None:
+    """``_json`` of ``width``-column arrays, their rows and columns, and payloads, at the block edges."""
+    for n in row_counts(width):
+        rng = np.random.default_rng([width, n, 14])
+        wide = rng.choice([-1.0, 1.0], (n, width)) * 10.0 ** rng.uniform(-300, 300, (n, width))
+        near = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-6, 14, (n, width))
+        plain = rng.uniform(-1.0, 1.0, (n, width))
+        tiny = plain * 10.0 ** rng.integers(-320, -300, (n, width))  # subnormals among them
+        cases = (("wide", wide), ("near", near), ("plain", plain), ("tiny", tiny), ("whole", np.rint(1e3 * plain)),
+                 ("big", 1e15 * plain))
+        for label, arr in cases:
+            d.add("json", f"{width}/{n}/{label}", lambda: cli._json(arr))
+            d.add("json", f"{width}/{n}/{label}/row", lambda: cli._json(arr[0]))
+            d.add("json", f"{width}/{n}/{label}/column", lambda: cli._json(arr[:, 0]))
+        payload = {"param": np.arange(1.0, width + 1), "mean": plain[0], "scores": plain, "k": 2, "s": wide[0, 0]}
+        d.add("json", f"{width}/{n}/payload", lambda: cli._json(payload))
+    edges = format_edges()
+    d.add("json", f"{width}/edges", lambda: cli._json(np.resize(edges, (-(-edges.size // width), width))))
+    for k, obj in enumerate([np.empty((0, width)), np.array(0.25), np.linspace(0.1, 0.9, 8 * width).reshape(2, 4, -1),
+                             np.float64(0.1 * width), {1: np.full(width, 0.5)}]):
+        d.add("json", f"{width}/other/{k}", lambda: cli._json(obj))
+
+
 def tangent_verdicts(g, d: Digests) -> None:
     """``as_tangent`` on rows of 2 to 5 parts with magnitudes from 1e-320 to 1.8e308."""
     rng = np.random.default_rng(2024)
@@ -189,6 +260,11 @@ def main(argv: list[str]) -> int:
     tangent_verdicts(gcoda, d)
     for width in WIDTHS:
         csv_cases(cli, d, width)
+    with tempfile.TemporaryDirectory() as root:
+        for width in WIDTHS:
+            read_cases(cli, d, width, Path(root))
+    for width in WIDTHS:
+        json_cases(cli, d, width)
     print("\n".join(d.lines()))
     return 0
 

@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from functools import cache
 from itertools import compress, count, islice, repeat
 from pathlib import Path
@@ -177,8 +178,43 @@ def _jsonify(obj):
     return obj
 
 
+def _json_plain(x: np.ndarray) -> np.ndarray:
+    """Cells whose 12-digit rounding ``v`` ``json.dumps`` writes as ``%.12g`` does.
+
+    It does for finite, normal ``v`` with ``|v| >= 1e16`` (both write
+    scientific notation) or with ``|v| < 1e12`` and not an integer (both write
+    fixed notation).  ``json.dumps`` writes an integer with ".0", ``[1e12,
+    1e16)`` in fixed notation, nan and the infinities by other names, and a
+    subnormal with fewer digits.  The test reads ``x``, not ``v``, and errs
+    toward False: a cell within ``1e-11 * |x|`` of an integer may round to one.
+    """
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        big = (a >= 1e16) & (a < np.inf)
+        fraction = (a >= 1e-307) & (np.abs(x - np.rint(x)) > 1e-11 * a)
+    return big | fraction
+
+
+def _json_text(obj) -> str:
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim in (1, 2) and obj.size and _json_plain(obj).all():
+        if obj.ndim == 1:
+            return "[" + _rows_csv(obj.reshape(-1, 1))[:-1].replace("\n", ", ") + "]"
+        return "[[" + _rows_csv(obj)[:-1].replace(",", ", ").replace("\n", "], [") + "]]"
+    return json.dumps(_jsonify(obj))
+
+
 def _json(obj) -> str:
-    return json.dumps(_jsonify(obj)) + "\n"
+    """``json.dumps(_jsonify(obj))`` and a newline: JSON of values rounded to 12 digits.
+
+    A dict with string keys is written value by value.  A float array of 1 or
+    2 dimensions whose cells pass ``_json_plain`` is written from its
+    ``_rows_csv`` text, cells joined by ", " and rows by "], [", skipping the
+    nested lists ``json.dumps`` would walk.  Any other array or value goes
+    through ``json.dumps``.
+    """
+    return _json_text(obj) + "\n"
 
 
 def _table(args, arr: np.ndarray) -> str:
@@ -206,6 +242,11 @@ def _parse_line(line: str) -> list[float] | None:
 _Table = tuple[np.ndarray, tuple[str, ...] | None]  # rows, and the header's column names if any
 
 
+def _header(line: str) -> tuple[str, ...] | None:
+    """The column names of ``line``, the first non-blank one, if it is a header: not all numbers."""
+    return None if _parse_line(line) is not None else tuple(c.strip() for c in line.split(","))
+
+
 def _read_text(path: str, encoding: str) -> str:
     try:
         return Path(path).read_text(encoding=encoding)
@@ -218,27 +259,77 @@ def _read_rows(path: str) -> _Table:
 
     Lines end at newlines only (CRLF and CR read as newlines), so a cell may
     end in other whitespace such as a form feed.  Blank lines are skipped;
-    cells are read with Python's ``float()`` grammar.  Data rows are parsed
-    in the blocks of ``_row_blocks``, each by one numpy cast of its split
-    cells.  Error messages name the file and, for a non-numeric cell,
-    the physical line it sits on.
+    cells are read with Python's ``float()`` grammar.  Large files are read
+    by numpy's C reader (``_loadtxt_rows``); any file it does not take is
+    parsed by ``_parse_rows``, to the same array bit for bit.  Error messages
+    name the file and, for a non-numeric cell, the physical line it sits on.
     """
     try:
         text = _read_text(path, "utf-8-sig")
     except FileNotFoundError:
         raise IngestError(f"input file not found: {path}") from None
+    table = _loadtxt_rows(path, text)
+    return table if table is not None else _parse_rows(path, text)
+
+
+# Whitespace to str.strip() and to np.loadtxt, but not to float(): "0.5\x1c"
+# is a number to np.loadtxt only.
+_UNIT_SEPARATORS = "\x1c\x1d\x1e\x1f"
+# Shorter text is parsed sooner by float() cell by cell: np.loadtxt saves
+# ~0.25 us a cell but its first call costs ~2 ms, opening the file through
+# numpy's DataSource among it.  They break even near 160 kB of 5-part rows.
+_LOADTXT_MIN_CHARS = 1 << 18
+
+
+def _loadtxt_rows(path: str, text: str) -> _Table | None:
+    """The table of ``path``, whose text is ``text``, by ``np.loadtxt``; None if it may differ.
+
+    ``np.loadtxt`` parses a cell as ``float()`` does, save for the
+    ``_UNIT_SEPARATORS`` it strips, and rejects the rest of ``float()``'s
+    grammar (``1_0``, non-ASCII digits).  So text holding a unit separator
+    gives None, as does any the reader rejects, warns about or finds empty:
+    whitespace-only lines, non-numeric cells, ragged rows, a header and no
+    data.  ``_parse_rows`` then reads the file or reports its error, as it
+    reads text under ``_LOADTXT_MIN_CHARS``.  The reader reads the file from
+    its path: a copy of ``text`` in a ``StringIO`` takes 4 bytes a character,
+    and a file object is read line by line.
+    """
+    if len(text) < _LOADTXT_MIN_CHARS or any(c in text for c in _UNIT_SEPARATORS):
+        return None
+    first = re.search(r"\S", text)
+    if first is None:
+        return None
+    start = text.rfind("\n", 0, first.start()) + 1
+    end = text.find("\n", start)
+    columns = _header(text[start:end if end >= 0 else None].strip())  # of the first non-blank line
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as "input contained no data"
+            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig",
+                              skiprows=text.count("\n", 0, end + 1) if columns else 0)
+    except (ValueError, Warning):
+        return None
+    if not rows.size or (columns is not None and len(columns) != rows.shape[1]):
+        return None
+    return rows, columns
+
+
+def _parse_rows(path: str, text: str) -> _Table:
+    """``_read_rows`` of ``path``, whose text is ``text``, with ``float()`` on every cell.
+
+    Data rows are parsed in the blocks of ``_row_blocks``, each by one numpy
+    cast of its split cells.  A non-numeric cell is reported before a ragged
+    row, and a ragged row before a header of the wrong width.
+    """
     lines = list(map(str.strip, text.split("\n")))
     rows = list(filter(None, lines))
     if not rows:
         raise IngestError(f"no data rows in {path}")
 
-    columns: tuple[str, ...] | None = None
-    start = 0
-    if _parse_line(rows[0]) is None:
-        columns = tuple(c.strip() for c in rows[0].split(","))
-        start = 1
-        if len(rows) == 1:
-            raise IngestError(f"no data rows in {path}")
+    columns = _header(rows[0])
+    start = int(columns is not None)
+    if len(rows) == start:
+        raise IngestError(f"no data rows in {path}")
     del rows[:start]
     width = rows[0].count(",") + 1
     out = np.empty((len(rows), width))
@@ -523,7 +614,7 @@ def _build_config(args) -> GeometryContext:
     if args.param:
         vec = _parse_vector(args.param, "--param")
     else:
-        lines = map(str.strip, _read_text(args.param_file, "utf-8").split("\n"))
+        lines = map(str.strip, _read_text(args.param_file, "utf-8-sig").split("\n"))
         vec = _parse_vector(",".join(filter(None, lines)), "--param-file")
     return make_context(vec)
 

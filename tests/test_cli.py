@@ -424,6 +424,13 @@ def test_ingest_byte_order_mark(tmp_path, capsys):
     assert code == 0 and ">sand</text>" in out
 
 
+def test_param_file_byte_order_mark(tmp_path, capsys):
+    # a --param-file reads a byte order mark as --input and --sigma do
+    path = write(tmp_path, "a.txt", "\ufeff1,1,2\n")
+    code, out, err = run_cli(capsys, "param", "--param-file", path)
+    assert code == 0 and err == "" and out.splitlines()[0] == "a = 1,1,2"
+
+
 @pytest.mark.parametrize("flag", ["--input", "--param-file", "--sigma"])
 def test_non_utf8_file_is_a_validation_error(tmp_path, capsys, flag):
     bad = tmp_path / "latin1.csv"
