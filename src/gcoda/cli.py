@@ -167,6 +167,7 @@ def _rows_csv(arr: np.ndarray) -> str:
 
 
 def _jsonify(obj):
+    """``obj`` for ``json.dumps``: each float, and each array value as a float64, rounded to 12 digits."""
     if isinstance(obj, np.ndarray):
         # Round every value to 12 significant digits in bulk: format, parse back.
         text = _rows_csv(obj.reshape(-1, 1))
@@ -208,6 +209,7 @@ def _json_text(obj) -> str:
 def _json(obj) -> str:
     """``json.dumps(_jsonify(obj))`` and a newline: JSON of values rounded to 12 digits.
 
+    Every array value is written as a float64, an int or bool array's too.
     A dict with string keys is written value by value.  A float array of 1 or
     2 dimensions whose cells pass ``_json_plain`` is written from its
     ``_rows_csv`` text, cells joined by ", " and rows by "], [", skipping the

@@ -285,26 +285,33 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str, out: np.ndarray
 
     Given ``out`` (``logx``'s shape; it may be ``logx`` itself), the closed
     points ``softmax(logx + a*t)`` are written there too.  The closed forms
-    close in a softmax pass at t; the Newton solve, for general weights and
-    as the quadratic's fallback, writes each row from its last evaluation,
-    bit for bit that softmax.
+    run one ``_row_blocks`` block of rows at a time (a single vector is one
+    row), each block's t and then its softmax, so their working memory is a
+    block's.  The Newton solve, for general weights and as the quadratic's
+    fallback, runs whole-batch, since its gemv slope rounds a row differently
+    as the batch is split; it writes each row from its last evaluation, bit
+    for bit that softmax.
     """
-    if fast_path == UNIFORM:
-        t = -_lse_rows(logx) / a[0]
-    # An empty batch's max is -inf, so it skips the closed form; the identity
-    # leaves the max of every non-empty input as it is.
-    elif fast_path == QUADRATIC and abs(logx.max(initial=-np.inf)) <= _QUAD_SAFE_LOG:
-        x = np.exp(logx)
-        s_head = x[..., :-1].sum(axis=-1)
-        # Rationalized positive root of  x_last*y**2 + S*y - 1 = 0, y = e^(ct);
-        # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
-        y = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * x[..., -1]))
-        t = np.log(y) / a[0]
-    else:
+    # The quadratic's guard reads the whole batch's max, so that every block
+    # takes the same form.  An empty batch's max is -inf, so it takes the
+    # Newton solve; the identity leaves the max of every non-empty input as it is.
+    if fast_path == GENERAL or (fast_path == QUADRATIC and not abs(logx.max(initial=-np.inf)) <= _QUAD_SAFE_LOG):
         return _newton_logt(a, logx, out)
-    if out is not None:
-        _softmax_rows(logx + t[..., None] * a, out=out)
-    return t
+    rows = logx.reshape(-1, logx.shape[-1])
+    t = np.empty(len(rows))
+    for s in _row_blocks(*rows.shape):
+        if fast_path == UNIFORM:
+            t[s] = -_lse_rows(rows[s]) / a[0]
+        else:
+            x = np.exp(rows[s])
+            s_head = x[:, :-1].sum(axis=1)
+            # Rationalized positive root of  x_last*y**2 + S*y - 1 = 0, y = e^(ct);
+            # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
+            y = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * x[:, -1]))
+            t[s] = np.log(y) / a[0]
+        if out is not None:
+            _softmax_rows(rows[s] + t[s, None] * a, out=out.reshape(rows.shape)[s])
+    return t.reshape(logx.shape[:-1])
 
 
 def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -439,17 +446,8 @@ def _newton_vector(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None) -> n
 
 
 def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:
-    """Closed point(s) of ``exp(logx)``, written over ``logx`` (the caller's scratch) and returned.
-
-    A uniform row-matrix closes block by block; every other input closes in
-    one solve, since the quadratic's guard reads the whole batch's max and
-    the Newton solve drops rows as they converge.
-    """
-    if ctx.fast_path == UNIFORM and logx.ndim == 2:
-        for s in _row_blocks(*logx.shape):
-            _solve_logt(ctx.a, logx[s], UNIFORM, out=logx[s])
-    else:
-        _solve_logt(ctx.a, logx, ctx.fast_path, out=logx)
+    """Closed point(s) of ``exp(logx)``, written over ``logx`` (a buffer the caller owns) by :func:`_solve_logt` and returned."""
+    _solve_logt(ctx.a, logx, ctx.fast_path, out=logx)
     return logx
 
 
@@ -508,18 +506,18 @@ def log_map(ctx: GeometryContext, lam) -> np.ndarray:
 
     Component i is ``e_i * (ln lam_i - (a_i / s) * sum_j e_j * ln lam_j)``.
     For uniform weights this is the centred log-ratio divided by N+1.
+
+    The weighted sums come from one whole-batch product; the rest maps every
+    input in place, a single vector as one row, one ``_row_blocks`` block at a time.
     """
     arr = as_composition(lam)
     _check_dim(ctx, arr)
     # as_composition returns a new array, so its logarithm is taken in place.
     L = np.log(arr, out=arr)
-    w = (L @ ctx.e_a) / ctx.s
-    if L.size <= _BLOCK_CELLS or L.ndim == 1:
-        return ctx.e_a * L - w[..., None] * (ctx.a * ctx.e_a)
-    # The rest is row-wise: a wide batch is mapped block by block over L.
-    for s in _row_blocks(*L.shape):
-        block = L[s]
-        np.subtract(ctx.e_a * block, w[s, None] * (ctx.a * ctx.e_a), out=block)
+    w = ((L @ ctx.e_a) / ctx.s).reshape(-1, 1)
+    rows, ae = L.reshape(-1, ctx.dim), ctx.a * ctx.e_a
+    for s in _row_blocks(*rows.shape):
+        np.subtract(ctx.e_a * rows[s], w[s] * ae, out=rows[s])
     return L
 
 

@@ -56,9 +56,10 @@ def kernels(width: int):
 
 
 @pytest.mark.parametrize("width", (5, 51))
-@pytest.mark.parametrize("weights", ("uniform", "general"))
+@pytest.mark.parametrize("weights", ("uniform", "quadratic", "general"))
 def test_blocked_kernels_match_a_whole_batch_pass(width, weights, monkeypatch):
-    a = np.ones(width) if weights == "uniform" else np.linspace(0.5, 3.0, width)
+    a = {"uniform": np.ones(width), "quadratic": np.r_[np.ones(width - 1), 2.0],
+         "general": np.linspace(0.5, 3.0, width)}[weights]
     ctx, basis = g.make_context(a), g.helmert_basis(width)
     for name, kernel in kernels(width):
         for n in edge_counts(width):
@@ -136,6 +137,17 @@ def test_exp_path_lifts_its_own_basis_product(rows, width):
     z = np.random.default_rng(1).normal(size=(rows, width - 1))
     lam, peak = allocation_peak(lambda: g.from_coords(ctx, basis, z))
     assert peak <= 1.5 * lam.nbytes
+
+
+@pytest.mark.parametrize("rows, width, bound", ((20000, 51, 1.5), (50000, 5, 2.1)))
+def test_quadratic_closure_runs_in_blocks(rows, width, bound):
+    # The quadratic closed form closes the logarithms in place block by
+    # block: beyond its output it holds a block's temporaries and each row's
+    # exponent t.  A whole-batch pass took 5.1x and 5.6x.
+    ctx = g.make_context(np.r_[np.ones(width - 1), 2.0])
+    x = np.exp(np.random.default_rng(1).uniform(-5, 5, (rows, width)))
+    lam, peak = allocation_peak(lambda: g.closure(ctx, x))
+    assert peak <= bound * lam.nbytes
 
 
 def test_gaussian_density_working_memory_is_that_of_coords():

@@ -28,7 +28,7 @@ def ref_read_rows(path):
 
     def parse(line):
         try:
-            return [float(c.strip()) for c in line.split(",")]
+            return [float(c) for c in line.split(",")]
         except ValueError:
             return None
 
@@ -204,6 +204,11 @@ def test_csv_matches_per_value_reference(width):
 def test_json_matches_per_value_reference():
     arr = _values().reshape(-1, 5)
     assert json.dumps(cli._jsonify(arr)) == json.dumps(ref_jsonify(arr))
+
+
+def test_json_writes_int_and_bool_arrays_as_rounded_floats():
+    assert cli._json(np.array([3, 2**53 + 1])) == "[3.0, 9007199254740000.0]\n"
+    assert cli._json(np.array([[True, False]])) == "[[1.0, 0.0]]\n"
 
 
 def test_jsonify_nested_payload_matches_reference():

@@ -91,10 +91,7 @@ def test_ingest_matches_the_fallback_and_the_reference(any_size, tmp_path, text)
         f.write(text)
     got = outcome(cli._read_rows, path)
     assert got == outcome(parse_rows, path)
-    # The reference strips each cell with str.strip(), which also strips the
-    # unit separators that float() rejects: it is exact on other text only.
-    if not any(c in text for c in UNIT_SEPARATORS):
-        assert got == outcome(ref_read_rows, path)
+    assert got == outcome(ref_read_rows, path)
 
 
 def test_a_unit_separator_ending_a_cell_is_non_numeric(any_size, tmp_path, capsys):
