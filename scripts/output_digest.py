@@ -14,10 +14,10 @@ bit moved.  The grid:
 - the CLI's CSV text (``rows_csv``) of values over 1e-300 ... 1e300 on the
   same widths and row counts, and of ``format_edges()``;
 - the CLI's CSV ingest (``read_rows``) of files on the same widths and row
-  counts: plain ones (numpy's reader takes those of 256 KiB or more), ones
-  with a byte order mark, CRLF and blank lines, and ones it leaves to the
-  ``float()`` parser (a cell only ``float()`` reads, a non-numeric cell, a
-  ragged row), plus small files at the edges of the grammar;
+  counts: plain ones (numpy's reader takes them), ones with a byte order
+  mark, CRLF and blank lines, and ones it leaves to the ``float()`` parser
+  (a cell only ``float()`` reads, a non-numeric cell, a ragged row), plus
+  small files at the edges of the grammar;
 - the CLI's JSON text (``json``) of arrays and payloads on the same widths
   and row counts, written directly or through ``json.dumps``.
 

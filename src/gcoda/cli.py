@@ -34,10 +34,10 @@ from .errors import (
     NumericalOverflow,
 )
 from .geometry import (
-    _BLOCK_CELLS,  # the cells per CSV block, as _row_blocks sizes them
     GeometryContext,
     _on_simplex,
     _row_blocks,
+    as_tangent,
     closure,
     exp_map,
     log_map,
@@ -249,9 +249,12 @@ def _header(line: str) -> tuple[str, ...] | None:
     return None if _parse_line(line) is not None else tuple(c.strip() for c in line.split(","))
 
 
-def _read_text(path: str, encoding: str) -> str:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``, a byte order mark dropped."""
     try:
-        return Path(path).read_text(encoding=encoding)
+        return Path(path).read_text(encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise IngestError(f"input file not found: {path}") from None
     except UnicodeDecodeError:
         raise IngestError(f"{path}: not UTF-8 text") from None
 
@@ -261,15 +264,12 @@ def _read_rows(path: str) -> _Table:
 
     Lines end at newlines only (CRLF and CR read as newlines), so a cell may
     end in other whitespace such as a form feed.  Blank lines are skipped;
-    cells are read with Python's ``float()`` grammar.  Large files are read
-    by numpy's C reader (``_loadtxt_rows``); any file it does not take is
-    parsed by ``_parse_rows``, to the same array bit for bit.  Error messages
-    name the file and, for a non-numeric cell, the physical line it sits on.
+    cells are read with Python's ``float()`` grammar.  Every file goes to
+    numpy's C reader (``_loadtxt_rows``) first, and one it does not take to
+    ``_parse_rows``, to the same array bit for bit.  Error messages name the
+    file and, for a non-numeric cell, the physical line it sits on.
     """
-    try:
-        text = _read_text(path, "utf-8-sig")
-    except FileNotFoundError:
-        raise IngestError(f"input file not found: {path}") from None
+    text = _read_text(path)
     table = _loadtxt_rows(path, text)
     return table if table is not None else _parse_rows(path, text)
 
@@ -277,10 +277,6 @@ def _read_rows(path: str) -> _Table:
 # Whitespace to str.strip() and to np.loadtxt, but not to float(): "0.5\x1c"
 # is a number to np.loadtxt only.
 _UNIT_SEPARATORS = "\x1c\x1d\x1e\x1f"
-# Shorter text is parsed sooner by float() cell by cell: np.loadtxt saves
-# ~0.25 us a cell but its first call costs ~2 ms, opening the file through
-# numpy's DataSource among it.  They break even near 160 kB of 5-part rows.
-_LOADTXT_MIN_CHARS = 1 << 18
 
 
 def _loadtxt_rows(path: str, text: str) -> _Table | None:
@@ -291,12 +287,11 @@ def _loadtxt_rows(path: str, text: str) -> _Table | None:
     grammar (``1_0``, non-ASCII digits).  So text holding a unit separator
     gives None, as does any the reader rejects, warns about or finds empty:
     whitespace-only lines, non-numeric cells, ragged rows, a header and no
-    data.  ``_parse_rows`` then reads the file or reports its error, as it
-    reads text under ``_LOADTXT_MIN_CHARS``.  The reader reads the file from
-    its path: a copy of ``text`` in a ``StringIO`` takes 4 bytes a character,
-    and a file object is read line by line.
+    data.  ``_parse_rows`` then reads the file or reports its error.  The
+    reader reads the file from its path: a copy of ``text`` in a ``StringIO``
+    takes 4 bytes a character, and a file object is read line by line.
     """
-    if len(text) < _LOADTXT_MIN_CHARS or any(c in text for c in _UNIT_SEPARATORS):
+    if any(c in text for c in _UNIT_SEPARATORS):
         return None
     first = re.search(r"\S", text)
     if first is None:
@@ -361,12 +356,17 @@ def _ingest_free(path: str) -> _Table:
     return _read_rows(path)
 
 
-def _ingest_positive(path: str) -> _Table:
+def _ingest_checked(path: str, check) -> _Table:
+    """``_ingest_free(path)``, its rows validated by ``check``, whose error then names ``path``."""
     rows, columns = _ingest_free(path)
     try:
-        return as_positive(rows), columns
+        return check(rows), columns
     except GcodaError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def _ingest_positive(path: str) -> _Table:
+    return _ingest_checked(path, as_positive)
 
 
 def _ingest_compositions(ctx: GeometryContext, args) -> _Table:
@@ -471,7 +471,7 @@ def _cmd_log(ctx: GeometryContext, args) -> str:
 
 
 def _cmd_exp(ctx: GeometryContext, args) -> str:
-    rows, _ = _ingest_free(args.input)
+    rows, _ = _ingest_checked(args.input, as_tangent)
     return _table(args, _no_zero_part(exp_map(ctx, rows), f"{args.input}: data row"))
 
 
@@ -616,7 +616,7 @@ def _build_config(args) -> GeometryContext:
     if args.param:
         vec = _parse_vector(args.param, "--param")
     else:
-        lines = map(str.strip, _read_text(args.param_file, "utf-8-sig").split("\n"))
+        lines = map(str.strip, _read_text(args.param_file).split("\n"))
         vec = _parse_vector(",".join(filter(None, lines)), "--param-file")
     return make_context(vec)
 

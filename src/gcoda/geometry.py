@@ -172,7 +172,7 @@ def make_context(a) -> GeometryContext:
 
     fast_path = _detect_fast_path(arr)
     e = np.zeros(arr.size)
-    _solve_logt(arr, e, fast_path, out=e)
+    _solve_logt(arr, e, fast_path)
     s = float(arr @ e)
 
     if not (abs(e.sum() - 1.0) <= 1e-12 and s > 0):
@@ -275,18 +275,18 @@ def _lse_rows(w: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(w - m[..., None]).sum(axis=-1))
 
 
-def _softmax_rows(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _softmax_rows(w: np.ndarray, out: np.ndarray) -> np.ndarray:
     e = np.exp(w - w.max(axis=-1)[..., None])
     return np.divide(e, e.sum(axis=-1)[..., None], out=out)
 
 
-def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise exponent t with logsumexp(logx + a*t) = 0.
+def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
+    """Row-wise exponent t with logsumexp(logx + a*t) = 0; the closed points go over ``logx``.
 
-    Given ``out`` (``logx``'s shape; it may be ``logx`` itself), the closed
-    points ``softmax(logx + a*t)`` are written there too.  The closed forms
-    run one ``_row_blocks`` block of rows at a time (a single vector is one
-    row), each block's t and then its softmax, so their working memory is a
+    ``logx`` is a buffer the caller owns: each of its rows is overwritten by
+    its closed point ``softmax(logx + a*t)``.  The closed forms run one
+    ``_row_blocks`` block of rows at a time (a single vector is one row),
+    each block's t and then its softmax, so their working memory is a
     block's.  The Newton solve, for general weights and as the quadratic's
     fallback, runs whole-batch, since its gemv slope rounds a row differently
     as the batch is split; it writes each row from its last evaluation, bit
@@ -296,7 +296,7 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str, out: np.ndarray
     # takes the same form.  An empty batch's max is -inf, so it takes the
     # Newton solve; the identity leaves the max of every non-empty input as it is.
     if fast_path == GENERAL or (fast_path == QUADRATIC and not abs(logx.max(initial=-np.inf)) <= _QUAD_SAFE_LOG):
-        return _newton_logt(a, logx, out)
+        return _newton_logt(a, logx)
     rows = logx.reshape(-1, logx.shape[-1])
     t = np.empty(len(rows))
     for s in _row_blocks(*rows.shape):
@@ -309,12 +309,11 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str, out: np.ndarray
             # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
             y = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * x[:, -1]))
             t[s] = np.log(y) / a[0]
-        if out is not None:
-            _softmax_rows(rows[s] + t[s, None] * a, out=out.reshape(rows.shape)[s])
+        _softmax_rows(rows[s] + t[s, None] * a, out=rows[s])
     return t.reshape(logx.shape[:-1])
 
 
-def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     """Safeguarded Newton on g(t) = logsumexp(logx + a*t), vectorized over rows.
 
     g is smooth, convex and increasing with slope g' in [min a, max a], so from
@@ -333,15 +332,15 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None)
     Each evaluation of g forms ``exp(w - max w)`` and its sum for
     ``w = logx + a*t``, so the evaluation that converges a row has already
     computed its closed point ``softmax(logx + a*t)``: that exponential
-    divided by its sum.  Given ``out`` (``logx``'s shape; it may be ``logx``
-    itself), each row's closed point is written there as the row finishes,
-    bit for bit what a separate softmax at the returned t gives.
+    divided by its sum.  Each row's closed point is written over its row of
+    ``logx`` as the row finishes, bit for bit what a separate softmax at the
+    returned t gives.
 
     A single vector runs the same arithmetic in :func:`_newton_vector`, with
     its scalars as Python floats, so it gives the bits of its one-row batch.
     """
     if logx.ndim == 1:
-        return _newton_vector(a, logx, out)
+        return _newton_vector(a, logx)
 
     def eval_g(logx, t):
         # One buffer: a*t, then + logx (the same sum as logx + a*t), then
@@ -364,7 +363,8 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None)
     hi = np.maximum(-(g - d) / a_min, -(g - d) / a_max)
     del d  # one float per row that the loop does not need
     dt = np.inf
-    t_out, rows = t.copy(), np.arange(t.size)
+    # The closed points go to the caller's buffer; the compaction below rebinds logx.
+    out, t_out, rows = logx, t.copy(), np.arange(t.size)
     for i in range(_MAX_ITER + 1):
         # Residual target, or step stagnation at the float64 noise floor
         # (reachable only for inputs with huge log magnitudes).  The floor is
@@ -375,9 +375,8 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None)
         if converged.any():
             done = rows[converged]
             t_out[done] = t[converged]
-            if out is not None:
-                w /= se[..., None]
-                out[done] = w[converged]
+            w /= se[..., None]
+            out[done] = w[converged]
         if converged.all():
             return t_out
         # Free the evaluation before the compaction and the next evaluation allocate.
@@ -400,7 +399,7 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None = None)
         hi = np.where(below, hi, t)
 
 
-def _newton_vector(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None) -> np.float64:
+def _newton_vector(a: np.ndarray, logx: np.ndarray) -> np.float64:
     """:func:`_newton_logt` for one vector ``logx``.
 
     Numpy evaluates g over the parts with the batch's operations in the
@@ -427,8 +426,7 @@ def _newton_vector(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None) -> n
     dt = math.inf
     for i in range(_MAX_ITER + 1):
         if abs(g) <= _F_TOL or dt <= _T_TOL * (1.0 / a_max + abs(t)):
-            if out is not None:
-                np.divide(w, se, out=out)
+            np.divide(w, se, out=logx)
             return np.float64(t)
         if i == _MAX_ITER:
             raise NonConvergence(f"1 row(s) did not converge in {_MAX_ITER} iterations")
@@ -446,8 +444,8 @@ def _newton_vector(a: np.ndarray, logx: np.ndarray, out: np.ndarray | None) -> n
 
 
 def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:
-    """Closed point(s) of ``exp(logx)``, written over ``logx`` (a buffer the caller owns) by :func:`_solve_logt` and returned."""
-    _solve_logt(ctx.a, logx, ctx.fast_path, out=logx)
+    """Closed point(s) of ``exp(logx)``, written over ``logx`` (a buffer the caller owns) and returned."""
+    _solve_logt(ctx.a, logx, ctx.fast_path)
     return logx
 
 

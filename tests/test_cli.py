@@ -329,12 +329,20 @@ def test_ingest_negative(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
-@pytest.mark.parametrize("argv", [["closure"], ["log"], ["log", "--close"]], ids=["closure", "log", "log-close"])
+@pytest.mark.parametrize("argv", [["closure"], ["log"], ["log", "--close"], ["exp"]],
+                         ids=["closure", "log", "log-close", "exp"])
 def test_ingest_non_finite_cell_is_one_line(tmp_path, capsys, argv, cell):
     path = write(tmp_path, "bad.csv", f"0.2,0.3,0.5\n0.2,{cell},0.5\n")
     code, out, err = run_cli(capsys, argv[0], "--param", "1,1,2", "--input", path, *argv[1:])
     assert code == 1 and out == ""
     assert err == f"gcoda: {path}: components must be finite\n"
+
+
+def test_exp_row_off_the_tangent_space_names_the_file(tmp_path, capsys):
+    path = write(tmp_path, "bad.csv", "0.1,-0.2,0.1\n0.2,0.3,0.5\n")
+    code, out, err = run_cli(capsys, "exp", "--param", "1,1,2", "--input", path)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: {path}: components must sum to 0 (within 1e-10)\n"
 
 
 def test_ingest_row_sum_overflow_is_off_the_simplex(tmp_path, capsys):
@@ -442,6 +450,18 @@ def test_non_utf8_file_is_a_validation_error(tmp_path, capsys, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"gcoda: {bad}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("flag", ["--input", "--param-file", "--sigma"])
+def test_missing_file_is_a_validation_error(tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing.csv")
+    data = write(tmp_path, "ok.csv", "0.2,0.3,0.5\n")
+    argv = {"--input": ("log", "--param", "1,1,1", "--input", missing),
+            "--param-file": ("log", "--param-file", missing, "--input", data),
+            "--sigma": ("density", "--param", "1,1,1", "--input", data, "--sigma", missing)}[flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: input file not found: {missing}\n"
 
 
 def test_ingest_header_row(tmp_path, capsys):

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from gcoda import IngestError
 from gcoda import cli, geometry
 
-STEP = cli._BLOCK_CELLS // 5  # rows per ingest block of a 5-column file
+STEP = geometry._BLOCK_CELLS // 5  # rows per ingest block of a 5-column file
 
 
 def ref_read_rows(path):
@@ -113,7 +113,7 @@ def test_ingest_matches_per_cell_reference(tmp_path, bom, header, n):
 def test_ingest_single_column_and_crlf(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "col.csv"
-    vals = [repr(v) for v in rng.uniform(size=cli._BLOCK_CELLS + 3).tolist()]
+    vals = [repr(v) for v in rng.uniform(size=geometry._BLOCK_CELLS + 3).tolist()]
     path.write_text("x\r\n" + "\r\n".join(vals) + "\r\n", encoding="utf-8")
     got, want = read_both(path)
     assert isinstance(got, tuple) and got == want and got[0] == (len(vals), 1)
@@ -222,7 +222,7 @@ def test_jsonify_nested_payload_matches_reference():
 @pytest.mark.parametrize("width", [1, 5])
 def test_ingest_and_csv_at_the_block_fold_edges(tmp_path, width):
     # the most rows whose rest folds into one block, and the fewest that split
-    b = cli._BLOCK_CELLS // width
+    b = geometry._BLOCK_CELLS // width
     fold = b + (b + 1) // 2
     rng = np.random.default_rng(width)
     for n in (fold - 1, fold):
@@ -274,7 +274,7 @@ def test_format_edges_format_like_format():
     assert_formats_like_format(np.resize(edges, (len(edges) // 7, 7)))
 
 
-@pytest.mark.parametrize("cells", [cli._BLOCK_CELLS, 64])
+@pytest.mark.parametrize("cells", [geometry._BLOCK_CELLS, 64])
 @pytest.mark.parametrize("width", [1, 5, 1000])
 def test_csv_at_the_block_fold_edges_with_edge_values(monkeypatch, cells, width):
     # one block, a rest folded into the block before it, a rest kept

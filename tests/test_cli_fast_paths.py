@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gcoda import IngestError
-from gcoda import cli
+from gcoda import cli, geometry
 from test_cli_bulk_io import EXOTIC, _values, ref_jsonify, ref_read_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -36,12 +36,6 @@ def outcome(read, path):
 
 def parse_rows(path):
     return cli._parse_rows(path, Path(path).read_text(encoding="utf-8-sig"))
-
-
-@pytest.fixture
-def any_size(monkeypatch):
-    """Send small files to numpy's reader too."""
-    monkeypatch.setattr(cli, "_LOADTXT_MIN_CHARS", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +79,7 @@ def csv_texts(draw):
 @example("0.2,0.8\n0.5\x1c,0.5\n")
 @example("\ufeff\n a , b \r\n\r\n1.5,-2e-3\r\n0.25,nan\r\n")
 @example("1,2\n \n3,4\n")
-def test_ingest_matches_the_fallback_and_the_reference(any_size, tmp_path, text):
+def test_ingest_matches_the_fallback_and_the_reference(tmp_path, text):
     path = tmp_path / "t.csv"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
@@ -94,7 +88,7 @@ def test_ingest_matches_the_fallback_and_the_reference(any_size, tmp_path, text)
     assert got == outcome(ref_read_rows, path)
 
 
-def test_a_unit_separator_ending_a_cell_is_non_numeric(any_size, tmp_path, capsys):
+def test_a_unit_separator_ending_a_cell_is_non_numeric(tmp_path, capsys):
     # np.loadtxt strips "\x1c" around a cell and float() does not
     path = tmp_path / "us.csv"
     path.write_text("0.2,0.8\n0.5\x1c,0.5\n", encoding="utf-8")
@@ -111,7 +105,7 @@ def test_a_unit_separator_ending_a_cell_is_non_numeric(any_size, tmp_path, capsy
     ("\xa00.2 ,\t0.8\f\n0.5\x85,\u20280.5\n", None),
     ("nan,-inf\n1e400,-1e-400\n", None),
 ])
-def test_plain_files_take_the_c_reader(any_size, tmp_path, text, columns):
+def test_plain_files_take_the_c_reader(tmp_path, text, columns):
     path = tmp_path / "p.csv"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
@@ -122,24 +116,16 @@ def test_plain_files_take_the_c_reader(any_size, tmp_path, text, columns):
 
 @pytest.mark.parametrize("text", ["", " \n\t\n", "a,b\n", "a,b", "1_0,2\n", "\u0661,2\n", "0.2,0.8\n \n0.5,0.5\n",
                                   "0.2,0.8\n0.5\n", "0.2,x\n", "0.2,\n", "a,b,c\n0.2,0.8\n", "0.2,0.8\n0.5\x1f,0.5\n"])
-def test_other_files_take_the_fallback(any_size, tmp_path, text):
+def test_other_files_take_the_fallback(tmp_path, text):
     path = tmp_path / "f.csv"
     path.write_text(text, encoding="utf-8")
     assert cli._loadtxt_rows(str(path), text) is None
     assert outcome(cli._read_rows, path) == outcome(parse_rows, path)
 
 
-def test_only_large_files_take_the_c_reader(tmp_path):
-    text = "p1,p2\n" + "0.25,0.75\n" * (cli._LOADTXT_MIN_CHARS // 10)
-    assert cli._loadtxt_rows("unread.csv", text[:cli._LOADTXT_MIN_CHARS - 1]) is None
-    path = tmp_path / "l.csv"
-    path.write_text(text, encoding="utf-8")
-    assert cli._loadtxt_rows(str(path), text) is not None
-
-
 def test_a_multi_block_file_takes_the_c_reader(tmp_path):
     rng = np.random.default_rng(7)
-    rows = rng.uniform(-1, 1, (3 * cli._BLOCK_CELLS // 5 + 11, 5)) * 10.0 ** rng.integers(-300, 300, (1, 5))
+    rows = rng.uniform(-1, 1, (3 * geometry._BLOCK_CELLS // 5 + 11, 5)) * 10.0 ** rng.integers(-300, 300, (1, 5))
     path = tmp_path / "m.csv"
     path.write_text("p1,p2,p3,p4,p5\n" + "\n".join(",".join(map(repr, r)) for r in rows.tolist()) + "\n",
                     encoding="utf-8")

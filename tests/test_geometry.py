@@ -214,7 +214,7 @@ def test_newton_root_on_bracket_end(monkeypatch):
     a = np.array([0.1, 1.0, 10.0])
     logx = np.array([[13.69616873, -23.02132862, -45.90264761], [-300.0, -200.0, 13.7]])
     monkeypatch.setattr(geometry, "_MAX_ITER", 12)
-    t = _newton_logt(a, logx)
+    t = _newton_logt(a, logx.copy())
     np.testing.assert_allclose(t, [-logx[0, 0] / 0.1, -logx[1, 2] / 10.0], rtol=1e-14)
 
 
@@ -265,7 +265,7 @@ BITWISE_WEIGHTS = ((0.5, 1, 1.5, 2, 3), (1, 2, 3), (1e-8, 1, 1e8))
 
 def closed_ref(ctx, logx):
     # solve t, then close in a separate softmax pass at it
-    t = geometry._solve_logt(ctx.a, logx, ctx.fast_path)
+    t = geometry._solve_logt(ctx.a, logx.copy(), ctx.fast_path)
     w = logx + t[..., None] * ctx.a
     e = np.exp(w - w.max(axis=-1)[..., None])
     return e / e.sum(axis=-1)[..., None]
@@ -360,9 +360,9 @@ def test_vector_solve_matches_one_row_batch_bitwise(ratio):
             ctx = g.make_context(a)
             for logx in draws[k:k + len(SPREADS)]:
                 for row in logx[::40]:
-                    closed, closed_batch = np.empty(3), np.empty((1, 3))
-                    t = _newton_logt(ctx.a, row, out=closed)
-                    t_batch = _newton_logt(ctx.a, row[None], out=closed_batch)
+                    closed, closed_batch = row.copy(), row[None].copy()
+                    t = _newton_logt(ctx.a, closed)
+                    t_batch = _newton_logt(ctx.a, closed_batch)
                     assert t.tobytes() == t_batch.tobytes() and closed.tobytes() == closed_batch.tobytes()
                     x = np.exp(row)
                     assert g.solve_t(ctx, x) == g.solve_t(ctx, x[None])[0]
@@ -658,17 +658,25 @@ def test_as_tangent_verdicts_are_those_of_the_full_tolerance():
 
 @pytest.mark.parametrize("weights", ([1, 1, 1, 1, 1], [1, 1, 1, 1, 2], [0.7, 1.3, 2.2, 0.9, 3.1]))
 def test_exp_map_leaves_its_input_unchanged(weights):
+    # the closure solve writes its closed points over a buffer it owns: not
+    # over the input of exp_map, nor of any other public call that closes
     ctx = g.make_context(weights)
-    lam = random_compositions(np.random.default_rng(7), 300, 5)
+    rng = np.random.default_rng(7)
+    lam = random_compositions(rng, 300, 5)
     xi = g.log_map(ctx, lam)
-    for arg in (xi, xi[0]):
-        before = arg.tobytes()
-        out = g.exp_map(ctx, arg)
-        assert arg.tobytes() == before and not np.shares_memory(out, arg)
-        # a read-only input is read, never written
-        frozen = arg.copy()
-        frozen.setflags(write=False)
-        assert g.exp_map(ctx, frozen).tobytes() == out.tobytes()
+    x, wide = (np.exp(rng.uniform(-s, s, size=(300, 5))) for s in (5, 350))
+    assert np.log(wide).max() > 300  # quadratic weights take the Newton fallback
+    calls = [(g.exp_map, xi), (g.closure, x), (g.closure, wide), (g.solve_t, x), (g.solve_t, wide),
+             (lambda c, v: g.perturb(c, v, v), lam), (lambda c, v: g.power(c, 1.7, v), lam)]
+    for op, batch in calls:
+        for arg in (batch, batch[0]):
+            before = arg.tobytes()
+            out = op(ctx, arg)
+            assert arg.tobytes() == before and not np.shares_memory(out, arg)
+            # a read-only input is read, never written
+            frozen = arg.copy()
+            frozen.setflags(write=False)
+            assert np.asarray(op(ctx, frozen)).tobytes() == np.asarray(out).tobytes()
 
 
 def test_exp_map_lift_overflow_reported():
