@@ -8,8 +8,8 @@ bit moved.  The grid:
 - uniform, quadratic and two general weight vectors;
 - row counts from 1 to 5000 across the edges of 2^14-cell row blocks, and
   single vectors;
-- closure input at log spreads 5 and 350 (the latter takes the quadratic
-  closed form's Newton fallback);
+- closure input at log spreads 5 and 350 (at 350, the quadratic form's
+  x_last**2 overflows float64 in the linear domain);
 - 20 000 ``as_tangent`` verdicts on rows with parts up to 1.8e308;
 - the CLI's CSV text (``rows_csv``) of values over 1e-300 ... 1e300 on the
   same widths and row counts, and of ``format_edges()``;

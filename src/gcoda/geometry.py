@@ -74,10 +74,6 @@ QUADRATIC = "quadratic"
 GENERAL = "general"
 
 _PROP_RTOL = 1e-12
-# Beyond this magnitude of max(logx) the quadratic closed form would overflow
-# (S_N**2) or underflow (every part) in the linear domain; fall back to the
-# log-sum-exp Newton path.
-_QUAD_SAFE_LOG = 300.0
 # Largest accepted max(a) / min(a).  Beyond it the smallest weight is zero at
 # float64 precision next to the largest, and the closure solve no longer
 # reaches its residual target.
@@ -270,52 +266,51 @@ def _row_blocks(rows: int, width: int):
 # row-matrix row by row.
 
 
-def _lse_rows(w: np.ndarray) -> np.ndarray:
-    m = w.max(axis=-1)
-    return m + np.log(np.exp(w - m[..., None]).sum(axis=-1))
-
-
-def _softmax_rows(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    e = np.exp(w - w.max(axis=-1)[..., None])
-    return np.divide(e, e.sum(axis=-1)[..., None], out=out)
-
-
 def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
     """Row-wise exponent t with logsumexp(logx + a*t) = 0; the closed points go over ``logx``.
 
     ``logx`` is a buffer the caller owns: each of its rows is overwritten by
-    its closed point ``softmax(logx + a*t)``.  The closed forms run one
-    ``_row_blocks`` block of rows at a time (a single vector is one row),
-    each block's t and then its softmax, so their working memory is a
-    block's.  The Newton solve, for general weights and as the quadratic's
-    fallback, runs whole-batch, since its gemv slope rounds a row differently
-    as the batch is split; it writes each row from its last evaluation, bit
-    for bit that softmax.
+    its closed point ``softmax(logx + a*t)``.  General weights take the Newton
+    solve.  The closed forms run in place, one ``_row_blocks`` block of rows
+    at a time (a single vector is one row), with one ``exp`` per cell: each
+    row is shifted so that its largest term is 1, t comes from the sums of
+    its exponentials, and those exponentials divided by their sum are the
+    closed point.  No exponential overflows, and the largest is exactly 1,
+    so no row's sum is 0 or infinite.
     """
-    # The quadratic's guard reads the whole batch's max, so that every block
-    # takes the same form.  An empty batch's max is -inf, so it takes the
-    # Newton solve; the identity leaves the max of every non-empty input as it is.
-    if fast_path == GENERAL or (fast_path == QUADRATIC and not abs(logx.max(initial=-np.inf)) <= _QUAD_SAFE_LOG):
+    if fast_path == GENERAL:
         return _newton_logt(a, logx)
     rows = logx.reshape(-1, logx.shape[-1])
     t = np.empty(len(rows))
+    # The terms are x_i * z and x_last * z**p in z = e^(a0*t): p = 1, or 2 for the quadratic form.
+    p = 1.0 if fast_path == UNIFORM else 2.0
     for s in _row_blocks(*rows.shape):
+        x = rows[s]
+        head, last = x[:, :-1], x[:, -1]
+        # Written in z * e^m, the terms' coefficients are x_i * e^-m and
+        # x_last * e^(-p*m); m makes the largest of them 1.
+        m = np.maximum(head.max(axis=1), last / p)
+        head -= m[:, None]
+        last -= p * m
+        np.exp(x, out=x)
         if fast_path == UNIFORM:
-            t[s] = -_lse_rows(rows[s]) / a[0]
+            t[s] = -(m + np.log(x.sum(axis=1))) / a[0]
         else:
-            x = np.exp(rows[s])
-            s_head = x[:, :-1].sum(axis=1)
-            # Rationalized positive root of  x_last*y**2 + S*y - 1 = 0, y = e^(ct);
+            s_head = head.sum(axis=1)
+            # Rationalized positive root z * e^m of  x_last*z**2 + S*z - 1 = 0 in the shifted terms;
             # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
-            y = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * x[:, -1]))
-            t[s] = np.log(y) / a[0]
-        _softmax_rows(rows[s] + t[s, None] * a, out=rows[s])
+            z = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * last))
+            t[s] = (np.log(z) - m) / a[0]
+            last *= z
+        x /= x.sum(axis=1)[:, None]
     return t.reshape(logx.shape[:-1])
 
 
 def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     """Safeguarded Newton on g(t) = logsumexp(logx + a*t), vectorized over rows.
 
+    This is the closure solve of general weights.  It runs whole-batch,
+    since its gemv slope rounds a row differently as the batch is split.
     g is smooth, convex and increasing with slope g' in [min a, max a], so from
     g0 = g(0) the root lies between -g0/min a and -g0/max a.  Newton starts at
     t = 0, reusing g0 and g'(0); by convexity every step lands at or above the

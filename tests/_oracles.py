@@ -2,8 +2,11 @@
 
 Everything here deliberately avoids the package's own code paths: closures
 by plain normalization, log-ratio transforms written directly, the quadratic
-closure exponent as an explicit formula, PCA through numpy.linalg.eigh.
+closure exponent as an explicit formula, PCA through numpy.linalg.eigh, and
+a 50-digit closure in the standard library's ``decimal``.
 """
+
+import decimal
 
 import numpy as np
 
@@ -53,6 +56,31 @@ def quadratic_exponent(a0, x):
     S = x[..., :-1].sum(axis=-1)
     y = 2.0 / (S + np.sqrt(S * S + 4.0 * x[..., -1]))
     return np.log(y) / a0
+
+
+def decimal_closure(a, x, digits=50):
+    """Closure of one positive vector ``x`` under weights ``a``, as ``digits``-digit Decimals.
+
+    Newton on g(t) = ln sum_i x_i e^(a_i t), which is convex and increasing:
+    from t = 0 the first step lands at or above the root, and the iterates
+    then fall onto it.  Every float input is taken exactly.
+    """
+    with decimal.localcontext() as dc:
+        dc.prec = digits
+        a = [decimal.Decimal(float(v)) for v in a]
+        logx = [decimal.Decimal(float(v)).ln() for v in x]
+        tol = decimal.Decimal(10) ** (10 - digits)
+        t = decimal.Decimal(0)
+        for _ in range(200):
+            terms = [(lx + w * t).exp() for lx, w in zip(logx, a)]
+            total = sum(terms)
+            step = total.ln() * total / sum(w * e for w, e in zip(a, terms))
+            t -= step
+            if abs(step) <= tol * (1 + abs(t)):
+                terms = [(lx + w * t).exp() for lx, w in zip(logx, a)]
+                total = sum(terms)
+                return [e / total for e in terms]
+        raise ArithmeticError("decimal closure did not converge")
 
 
 def weighted_distance(e, a, s, lam, mu):

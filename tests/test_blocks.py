@@ -125,12 +125,14 @@ def test_wide_batch_working_memory_is_bounded_by_its_output():
 
 
 @pytest.mark.parametrize("rows, width", ((20000, 51), (50000, 5)))
-def test_exp_path_lifts_its_own_basis_product(rows, width):
-    # Uniform weights.  The lift xi / e_a is closed in place of the basis
-    # product: beyond its output, from_coords holds blocks and per-row
-    # values, and the sampler its transformed normals while they pass
-    # through the basis.
-    ctx, basis = g.make_context(np.ones(width)), g.helmert_basis(width)
+@pytest.mark.parametrize("weights", ("uniform", "quadratic"))
+def test_exp_path_lifts_its_own_basis_product(rows, width, weights):
+    # The lift xi / e_a is closed in place of the basis product, block by
+    # block: beyond its output, from_coords holds blocks and per-row values,
+    # and the sampler its transformed normals while they pass through the
+    # basis.
+    a = np.ones(width) if weights == "uniform" else np.r_[np.ones(width - 1), 2.0]
+    ctx, basis = g.make_context(a), g.helmert_basis(width)
     law = g.make_gaussian(ctx, basis, np.zeros(width - 1), 0.2 * np.eye(width - 1))
     sample, peak = allocation_peak(lambda: g.gaussian_sample(law, g.RandomSource(1), rows))
     assert peak <= 2.1 * sample.nbytes

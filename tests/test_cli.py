@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -410,6 +411,17 @@ def test_output_row_with_a_zero_part_names_the_row(tmp_path, capsys, command, ro
     code, out, err = run_cli(capsys, command, "--param", "1,1,1", *extra, "--format", fmt, "--input", path)
     assert code == 1 and out == ""
     assert err == f"gcoda: {path}: data row 2 {verb} a composition with a zero part\n"
+
+
+def test_quadratic_power_names_the_first_zero_part_row(tmp_path, capsys):
+    # every row closes on its own: row 1 is reported, with no warning from
+    # the rows after it
+    path = write(tmp_path, "rows.csv", "0.3,0.3,0.4\n0.001,0.001,0.998\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "power", "--param", "1,1,2", "--c", "1000", "--input", path)
+    assert caught == [] and code == 1 and out == ""
+    assert err == f"gcoda: {path}: data row 1 gives a composition with a zero part\n"
 
 
 def test_sample_with_a_zero_part_names_the_sample_row(capsys):

@@ -1,4 +1,6 @@
+import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from gcoda import geometry
 from gcoda.geometry import _newton_logt
 from _oracles import (
     clr,
+    decimal_closure,
     normalize,
     quadratic_exponent,
     random_compositions,
@@ -206,6 +209,36 @@ def test_closure_residual_across_weight_ratios_and_spreads():
                     wm = w.max(axis=1)
                     resid = wm + np.log(np.exp(w - wm[:, None]).sum(axis=1))
                     assert np.abs(resid).max() <= 1e-11, (ratio, ctx.a.min(), spread)
+
+
+# (weights, spread of log x, row-scaled budget, per-part budget).  Each budget
+# is the worst case measured on the test's data, rounded up to a whole ULP.
+# A change may tighten a budget; it never loosens one.
+ACCURACY_BUDGETS = [
+    ((1, 1, 1, 1, 1), 5, 2, 14),
+    ((1, 1, 1, 1, 1), 300, 2, 542),
+    ((1, 1, 1, 1, 2), 5, 3, 17),
+    ((1, 1, 1, 1, 2), 300, 2, 542),
+    ((1, 1, 1, 1, 2), 700, 2, 456),
+    ((1, 2, 3, 5, 10), 5, 196, 2221),
+]
+
+
+@pytest.mark.parametrize("a, spread, row_budget, part_budget", ACCURACY_BUDGETS)
+def test_closure_accuracy_against_a_decimal_reference(a, spread, row_budget, part_budget):
+    # 100 rows of 5 parts, log x uniform in [-spread, spread], against a
+    # 50-digit closure.  Errors are in ULP of the row's largest part and of
+    # each part; the large per-part errors are in small parts, whose
+    # condition number is about a_i * |t|.
+    ctx = g.make_context(a)
+    x = np.exp(np.random.default_rng(spread).uniform(-spread, spread, (100, 5)))
+    row_err = part_err = 0.0
+    for got, row in zip(g.closure(ctx, x), x):
+        ref = decimal_closure(ctx.a, row)
+        err = [abs(Decimal(float(v)) - r) for v, r in zip(got, ref)]
+        row_err = max(row_err, float(max(err)) / math.ulp(float(max(ref))))
+        part_err = max(part_err, *(float(e) / math.ulp(float(r)) for e, r in zip(err, ref)))
+    assert row_err <= row_budget and part_err <= part_budget, (row_err, part_err)
 
 
 def test_newton_root_on_bracket_end(monkeypatch):
@@ -414,8 +447,8 @@ def test_empty_batch(name, a):
 
 
 def test_quadratic_closed_form_guard_both_sides(ctx112):
-    # every part underflows in the linear domain: the closed form would
-    # divide by zero, so the Newton solve takes over
+    # every part underflows in the linear domain; each row is shifted so
+    # that its largest term is 1 before its exponentials are taken
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = g.power(ctx112, 1e300, [0.2, 0.3, 0.5])
@@ -426,14 +459,27 @@ def test_quadratic_closed_form_guard_both_sides(ctx112):
     np.testing.assert_allclose(tiny, np.exp(np.log(x) + t * ctx112.a), rtol=1e-12)
 
 
-def test_quadratic_guard_falls_back_to_newton(ctx112):
-    # outside the closed form's safe magnitude range the general solver takes
-    # over; results must still agree with any in-range class representative
+def test_quadratic_closure_of_huge_parts_matches_a_rescaled_representative(ctx112):
+    # parts whose squares overflow float64 close to what any class
+    # representative of moderate magnitude closes to
     huge = np.array([1e200, 2e200, 3e200])
     out = g.closure(ctx112, huge)
     assert np.isfinite(out).all() and abs(out.sum() - 1.0) < 1e-12
     rescaled = huge * np.exp(-230.0 * ctx112.a)
     assert np.abs(out - g.closure(ctx112, rescaled)).max() < 1e-11
+
+
+def test_quadratic_closure_shifts_each_row_on_its_own(ctx112):
+    # c * log(lam) spans about -6900 to -900 on the first row and -6900 to
+    # -2 on the second: each row closes from its own largest term, with no
+    # warning, to the bits of its single-vector result
+    rows = [[0.3, 0.3, 0.4], [0.001, 0.001, 0.998]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = g.power(ctx112, 1000.0, rows)
+        singles = [g.power(ctx112, 1000.0, row) for row in rows]
+    assert np.isfinite(out).all()
+    assert [row.tobytes() for row in out] == [single.tobytes() for single in singles]
 
 
 def test_power_overflow_reported(ctx112):
@@ -665,7 +711,7 @@ def test_exp_map_leaves_its_input_unchanged(weights):
     lam = random_compositions(rng, 300, 5)
     xi = g.log_map(ctx, lam)
     x, wide = (np.exp(rng.uniform(-s, s, size=(300, 5))) for s in (5, 350))
-    assert np.log(wide).max() > 300  # quadratic weights take the Newton fallback
+    assert np.log(wide).max() > 300  # past 300, x_last**2 of the quadratic form overflows float64
     calls = [(g.exp_map, xi), (g.closure, x), (g.closure, wide), (g.solve_t, x), (g.solve_t, wide),
              (lambda c, v: g.perturb(c, v, v), lam), (lambda c, v: g.power(c, 1.7, v), lam)]
     for op, batch in calls:
