@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own code paths: closures
 by plain normalization, log-ratio transforms written directly, the quadratic
 closure exponent as an explicit formula, PCA through numpy.linalg.eigh, and
-a 50-digit closure in the standard library's ``decimal``.
+a 50-digit closure and Gaussian quadratic form in the standard library's
+``decimal``.
 """
 
 import decimal
@@ -81,6 +82,25 @@ def decimal_closure(a, x, digits=50):
                 total = sum(terms)
                 return [e / total for e in terms]
         raise ArithmeticError("decimal closure did not converge")
+
+
+def decimal_quadratic_form(chol, dev, digits=50):
+    """``|L^-1 d|^2`` for each row d of ``dev``, as ``digits``-digit Decimals.
+
+    Forward substitution on the lower-triangular float64 factor ``chol``;
+    every float input is taken exactly.
+    """
+    with decimal.localcontext() as dc:
+        dc.prec = digits
+        L = [[decimal.Decimal(float(v)) for v in row[: i + 1]] for i, row in enumerate(chol)]
+        quads = []
+        for d in dev:
+            y = []
+            for i, Li in enumerate(L):
+                acc = decimal.Decimal(float(d[i])) - sum(l * v for l, v in zip(Li, y))
+                y.append(acc / Li[i])
+            quads.append(sum(v * v for v in y))
+    return quads
 
 
 def weighted_distance(e, a, s, lam, mu):

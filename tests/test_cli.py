@@ -521,6 +521,17 @@ def test_sample_rejects_bad_sigma(tmp_path, capsys):
     assert code == 2 and "positive definite" in err
 
 
+def test_density_rejects_a_small_asymmetric_sigma(tmp_path, capsys):
+    # at the law's mean, where a density accepted from the lower triangle
+    # alone would print
+    sigma = write(tmp_path, "sigma.csv", "1e-14,5e-15\n9e-15,1e-14\n")
+    mean = g.make_context([1, 1, 2]).e_a
+    data = write(tmp_path, "comp.csv", ",".join(f"{v:.17g}" for v in mean) + "\n")
+    code, out, err = run_cli(capsys, "density", "--param", "1,1,2", "--input", data, "--sigma", sigma)
+    assert code == 2 and out == ""
+    assert err == "gcoda: numerical failure: covariance must be symmetric\n"
+
+
 @pytest.mark.parametrize("law", [
     ["--mu", "nan,0"],
     ["--mu", "0,inf"],

@@ -1,10 +1,12 @@
+import decimal
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import gcoda as g
 from gcoda.stats import _eigh_descending
-from _oracles import normal_density, normalize, random_compositions, random_weights
+from _oracles import decimal_quadratic_form, normal_density, normalize, random_compositions, random_weights
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +303,24 @@ def test_gaussian_validation(ctx112, basis3):
         g.make_gaussian(ctx112, basis3, np.zeros(3), np.eye(2))
 
 
+@pytest.mark.parametrize("scale", [1e-14, 1.0])
+def test_gaussian_rejects_asymmetry_at_every_scale(ctx112, basis3, scale):
+    # the Cholesky factor reads only the lower triangle, so an accepted
+    # asymmetric covariance would silently lose its upper entry
+    with pytest.raises(g.NotPositiveDefinite, match="symmetric"):
+        g.make_gaussian(ctx112, basis3, np.zeros(2), scale * np.array([[1.0, 0.5], [0.9, 1.0]]))
+
+
+def test_gaussian_accepts_rounding_asymmetry_at_a_small_scale(ctx112, basis3):
+    law = g.make_gaussian(ctx112, basis3, np.zeros(2), 1e-14 * np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]]))
+    assert g.gaussian_density(law, ctx112.e_a) > 0
+
+
+def test_gaussian_rejects_a_zero_covariance(ctx112, basis3):
+    with pytest.raises(g.NotPositiveDefinite, match="positive definite"):
+        g.make_gaussian(ctx112, basis3, np.zeros(2), np.zeros((2, 2)))
+
+
 @pytest.mark.parametrize("mu,cov", [
     ([np.nan, 0.0], np.eye(2)),
     ([0.0, np.inf], np.eye(2)),
@@ -338,6 +358,60 @@ def test_density_matches_coordinate_normal(ctx112, basis3):
     dens = g.gaussian_density(law, lam)
     ref = normal_density(z, mu, cov)
     assert np.abs(dens - ref).max() < 1e-12
+
+
+def test_density_whitens_with_one_product(ctx112, basis3, monkeypatch):
+    law = g.make_gaussian(ctx112, basis3, np.array([0.3, -0.2]), np.array([[1.3, 0.4], [0.4, 0.9]]))
+    assert np.all(np.triu(law.whiten, 1) == 0.0)
+    assert np.abs(law.whiten @ law.chol - np.eye(2)).max() <= 1e-12
+    lam = g.from_coords(ctx112, basis3, np.random.default_rng(3).uniform(-2, 2, (50, 2)))
+    want = g.gaussian_density(law, lam), g.gaussian_density(law, lam[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gaussian_density called a linear-algebra routine")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    assert g.gaussian_density(law, lam).tobytes() == want[0].tobytes()
+    assert g.gaussian_density(law, lam[0]) == want[1]
+
+
+# Worst relative error of gaussian_density against a 50-digit density, per
+# case, budgeted at twice what the LU solve it replaced measured on the same
+# data (CHANGES.md): (coordinates, smallest covariance eigenvalue) -> budget.
+DENSITY_BUDGETS = {
+    (4, 0.05): 8.44e-15,
+    (4, 1e-6): 1.67e-12,
+    (4, 1e-10): 2.09e-10,
+    (50, 0.05): 4.49e-14,
+    (50, 1e-6): 1.06e-12,
+    (50, 1e-10): 1.22e-10,
+}
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def density_worst_error(n: int, smallest: float) -> float:
+    """Largest relative error over a sampled batch and over its rows one at a time."""
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    cov = (q * np.geomspace(smallest, 2.0, n)) @ q.T
+    ctx = g.make_context([1.0] * n + [2.0 if n == 4 else 1.0])
+    basis = g.helmert_basis(n + 1)
+    law = g.make_gaussian(ctx, basis, rng.uniform(-1, 1, n), 0.5 * (cov + cov.T))
+    lam = g.gaussian_sample(law, g.RandomSource(n), 1000 if n == 4 else 200)
+    quads = decimal_quadratic_form(law.chol, g.coords(ctx, basis, lam) - law.mean_coords)
+    with decimal.localcontext() as dc:
+        dc.prec = 50
+        const = n * (2 * _PI).ln() + 2 * sum(decimal.Decimal(float(v)).ln() for v in np.diag(law.chol))
+        want = np.array([float((-(v + const) / 2).exp()) for v in quads])
+    batch = np.abs(g.gaussian_density(law, lam) / want - 1).max()
+    single = max(abs(g.gaussian_density(law, row) / w - 1) for row, w in zip(lam, want))
+    return max(batch, single)
+
+
+@pytest.mark.parametrize("case", DENSITY_BUDGETS, ids=lambda case: f"{case[0]}-{case[1]:g}")
+def test_density_accuracy_against_decimal(case):
+    assert density_worst_error(*case) <= DENSITY_BUDGETS[case]
 
 
 def test_density_integrates_to_one_dim2():
