@@ -629,6 +629,9 @@ def main(argv=None) -> int:
     except (NonConvergence, NumericalOverflow, NotPositiveDefinite) as exc:
         print(f"gcoda: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"gcoda: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (GcodaError, OSError) as exc:
         print(f"gcoda: {exc}", file=sys.stderr)
         return 1

@@ -312,8 +312,11 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     This is the closure solve of general weights.  It runs whole-batch,
     since its gemv slope rounds a row differently as the batch is split.
     g is smooth, convex and increasing with slope g' in [min a, max a], so from
-    g0 = g(0) the root lies between -g0/min a and -g0/max a.  Newton starts at
-    t = 0, reusing g0 and g'(0); by convexity every step lands at or above the
+    g0 = g(t0) the root lies between t0 - g0/min a and t0 - g0/max a.  Newton
+    starts at t0 = min(0, -max(logx / a)), reusing g0 and g'(t0): the second
+    term is the root of the largest single term, and g(t) >= logx_i + a_i*t,
+    so a row with a part above 1 starts at or above the root, and any other
+    row starts at t0 = 0 exactly.  By convexity every step lands at or above the
     root, so the iterates fall monotonically onto it.  The slope bracket stays
     as a safeguard against rounding: a step that leaves the shrinking bracket
     (g itself is inexact at large |t|) falls back to bisection.  Only rows not
@@ -349,13 +352,16 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
         return w, se, wm + np.log(se), (w @ a) / se
 
     a_min, a_max = float(a.min()), float(a.max())
-    t = np.zeros(logx.shape[:-1])
+    t = -(logx / a).max(axis=-1)
+    # where, not minimum: a row whose largest log x is 0 starts at +0.0
+    t = np.where(t < 0, t, 0.0)
     w, se, g, gp = eval_g(logx, t)
-    # Widen g0 by far more than its rounding error, so that a root on an end
-    # of the bracket (one part dominating the row) lies strictly inside it.
-    d = 1e-12 * (1.0 + np.abs(g))
-    lo = np.minimum(-(g + d) / a_min, -(g + d) / a_max)
-    hi = np.maximum(-(g - d) / a_min, -(g - d) / a_max)
+    # Widen g0 by far more than its rounding error and that of t0, so that a
+    # root on an end of the bracket (one part dominating the row) lies
+    # strictly inside it.
+    d = 1e-12 * (1.0 + np.abs(g) + a_max * np.abs(t))
+    lo = t + np.minimum(-(g + d) / a_min, -(g + d) / a_max)
+    hi = t + np.maximum(-(g - d) / a_min, -(g - d) / a_max)
     del d  # one float per row that the loop does not need
     dt = np.inf
     # The closed points go to the caller's buffer; the compaction below rebinds logx.
@@ -413,11 +419,12 @@ def _newton_vector(a: np.ndarray, logx: np.ndarray) -> np.float64:
         return w, se, float(wm + np.log(se)), float((w @ a) / se)
 
     a_min, a_max = float(a.min()), float(a.max())
-    t = 0.0
+    t = -float((logx / a).max())
+    t = t if t < 0 else 0.0
     w, se, g, gp = eval_g(t)
-    d = 1e-12 * (1.0 + abs(g))
-    lo = min(-(g + d) / a_min, -(g + d) / a_max)
-    hi = max(-(g - d) / a_min, -(g - d) / a_max)
+    d = 1e-12 * (1.0 + abs(g) + a_max * abs(t))
+    lo = t + min(-(g + d) / a_min, -(g + d) / a_max)
+    hi = t + max(-(g - d) / a_min, -(g - d) / a_max)
     dt = math.inf
     for i in range(_MAX_ITER + 1):
         if abs(g) <= _F_TOL or dt <= _T_TOL * (1.0 / a_max + abs(t)):

@@ -68,6 +68,9 @@ def decimal_closure(a, x, digits=50):
     """
     with decimal.localcontext() as dc:
         dc.prec = digits
+        # Terms far from the root overflow decimal's default exponent range:
+        # weights 1e8 apart put a_i * t near 5e9 at spread 50.
+        dc.Emax, dc.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
         a = [decimal.Decimal(float(v)) for v in a]
         logx = [decimal.Decimal(float(v)).ln() for v in x]
         tol = decimal.Decimal(10) ** (10 - digits)

@@ -430,6 +430,18 @@ def test_sample_with_a_zero_part_names_the_sample_row(capsys):
     assert err == "gcoda: sample row 1 is a composition with a zero part\n"
 
 
+def test_sample_too_large_to_allocate_is_one_line(monkeypatch, capsys):
+    # numpy refuses an array of 10**15 rows with a MemoryError subclass; the
+    # draw raises it here, so that no size is ever allocated
+    def refuse(self, n):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array with shape (500000000000000, 2) and data type float64")
+
+    monkeypatch.setattr(g.RandomSource, "normals", refuse)
+    code, out, err = run_cli(capsys, "sample", "--param", "1,1,2", "--n", str(10**15))
+    assert code == 2 and out == ""
+    assert err == "gcoda: out of memory: Unable to allocate 7.11 PiB for an array with shape (500000000000000, 2) and data type float64\n"
+
+
 def test_ingest_missing_file(capsys):
     code, _, err = run_cli(capsys, "log", "--param", "1,1,1", "--input", "/nonexistent/x.csv")
     assert code == 1 and "not found" in err

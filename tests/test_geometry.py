@@ -220,7 +220,12 @@ ACCURACY_BUDGETS = [
     ((1, 1, 1, 1, 2), 5, 3, 17),
     ((1, 1, 1, 1, 2), 300, 2, 542),
     ((1, 1, 1, 1, 2), 700, 2, 456),
-    ((1, 2, 3, 5, 10), 5, 196, 2221),
+    ((1, 2, 3, 5, 10), 5, 21, 1899),
+    ((0.5, 1, 1.5, 2, 3), 5, 114, 1622),
+    ((0.5, 1, 1.5, 2, 3), 50, 9, 645),
+    ((0.5, 1, 1.5, 2, 3), 300, 9, 972),
+    # weights 1e8 apart: the start and its bracket sit far from t = 0
+    ((1e-4, 1, 10, 100, 1e4), 50, 3, 3474),
 ]
 
 
@@ -265,6 +270,62 @@ def test_batch_solve_matches_rows_solved_alone():
     np.testing.assert_allclose(t, alone, rtol=1e-15, atol=0)
 
 
+def test_newton_starts_at_the_largest_term_root(monkeypatch):
+    # a part above 1 moves the start to the root of the largest term,
+    # -max(log x / a); when that term dominates, the start is the root itself
+    ctx = g.make_context([0.5, 1, 1.5, 2, 3])
+    x = np.exp([13.7, -300.0, -200.0, -250.0, -280.0])
+    monkeypatch.setattr(geometry, "_MAX_ITER", 0)
+    t, t_batch = g.solve_t(ctx, x), g.solve_t(ctx, x[None])
+    assert t == -13.7 / 0.5 and np.float64(t).tobytes() == t_batch.tobytes()
+    assert g.closure(ctx, x).tobytes() == g.closure(ctx, x[None]).tobytes()
+
+
+@pytest.mark.parametrize("a", ((1e-4, 1, 10, 100, 1e4), (1e-8, 1, 1e8)))
+def test_newton_residual_at_huge_log_magnitudes(a):
+    # exp_map lifts reach |log x| far beyond float64 data, and the start
+    # -max(log x / a) rounds at that scale.  The bracket is widened by that
+    # rounding, so the root stays inside it and the solve ends within 1 ULP of
+    # max|log x|; a bracket that ignored it left rows up to 83 ULP off.
+    a = np.array(a)
+    rng = np.random.default_rng(73)
+    for spread in (1e5, 1e10, 1e100):
+        logx = rng.uniform(-spread, spread, size=(2000, a.size))
+        t = _newton_logt(a, logx.copy())
+        w = logx + t[:, None] * a
+        wm = w.max(axis=1)
+        resid = wm + np.log(np.exp(w - wm[:, None]).sum(axis=1))
+        assert (np.abs(resid) <= np.spacing(np.abs(logx).max(axis=1))).all(), spread
+
+
+def test_newton_starts_on_simplex_rows_at_zero(monkeypatch):
+    # every log x <= 0 keeps the start t = 0, so a row on the simplex stops
+    # at its first evaluation with t exactly +0.0, also when its largest
+    # part is exactly 1
+    ctx = g.make_context([0.5, 1, 1.5, 2, 3])
+    lam = np.array([[0.1, 0.2, 0.3, 0.15, 0.25], [1.0, 1e-300, 1e-300, 1e-300, 1e-300]])
+    monkeypatch.setattr(geometry, "_MAX_ITER", 0)
+    for row in lam:
+        t = g.solve_t(ctx, row)
+        assert t == 0.0 and math.copysign(1.0, t) == 1.0
+    assert g.solve_t(ctx, lam).tobytes() == np.zeros(2).tobytes()
+
+
+def test_perturb_of_compositions_keeps_its_bits():
+    # products of compositions have every log x <= 0, so they start at
+    # t = 0 and keep the bits pinned here
+    ctx = g.make_context([0.5, 1, 1.5, 2, 3])
+    lam = [[0.1, 0.2, 0.3, 0.15, 0.25], [0.7, 0.1, 0.1, 0.05, 0.05]]
+    mu = [[0.05, 0.4, 0.1, 0.3, 0.15], [1e-9, 0.25, 0.25, 0.25, 0.25 - 1e-9]]
+    pinned = [
+        ["0x1.f205334b59df6p-8", "0x1.7a74774f44a7ap-3", "0x1.af64799df53fcp-4", "0x1.ebbc1ccd72d7ep-3", "0x1.d94682bcf988cp-2"],
+        ["0x1.6ca140629f982p-30", "0x1.6fbacf329bd3bp-4", "0x1.5c6d95b58eacfp-3", "0x1.4a23b7ff07037p-3", "0x1.286452a1220f6p-1"],
+    ]
+    out = g.perturb(ctx, lam, mu)
+    assert [[v.hex() for v in row] for row in out.tolist()] == pinned
+    assert g.perturb(ctx, lam[0], mu[0]).tobytes() == out[0].tobytes()
+
+
 def test_solve_t_result_types():
     ctx = g.make_context([0.5, 1, 1.5, 2, 3])
     x = np.exp(np.random.default_rng(42).uniform(-50, 50, size=(7, 5)))
@@ -281,7 +342,7 @@ def test_nonconvergence_counts_rows_left(monkeypatch):
     rng = np.random.default_rng(43)
     dominated = np.exp([13.7, -300.0, -200.0, -250.0, -280.0])
     x = np.vstack([rng.dirichlet(np.ones(5)), dominated, np.exp(rng.uniform(-5, 5, size=(8, 5)))])
-    monkeypatch.setattr(geometry, "_MAX_ITER", 4)
+    monkeypatch.setattr(geometry, "_MAX_ITER", 3)
     left = 0
     for row in x:
         try:
@@ -289,7 +350,7 @@ def test_nonconvergence_counts_rows_left(monkeypatch):
         except g.NonConvergence:
             left += 1
     assert 0 < left < len(x) - 2
-    with pytest.raises(g.NonConvergence, match=rf"^{left} row\(s\) did not converge in 4 iterations$"):
+    with pytest.raises(g.NonConvergence, match=rf"^{left} row\(s\) did not converge in 3 iterations$"):
         g.solve_t(ctx, x)
 
 
@@ -404,10 +465,10 @@ def test_vector_solve_matches_one_row_batch_bitwise(ratio):
 
 def test_vector_nonconvergence_names_one_row(monkeypatch):
     ctx = g.make_context([0.5, 1, 1.5, 2, 3])
-    x = np.exp(np.random.default_rng(44).uniform(-5, 5, size=5))  # converges in 3 iterations
-    monkeypatch.setattr(geometry, "_MAX_ITER", 2)
+    x = np.exp(np.random.default_rng(44).uniform(-5, 5, size=5))  # converges in 2 iterations
+    monkeypatch.setattr(geometry, "_MAX_ITER", 1)
     for v in (x, x[None]):
-        with pytest.raises(g.NonConvergence, match=r"^1 row\(s\) did not converge in 2 iterations$"):
+        with pytest.raises(g.NonConvergence, match=r"^1 row\(s\) did not converge in 1 iterations$"):
             g.solve_t(ctx, v)
 
 
