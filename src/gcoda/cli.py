@@ -539,7 +539,10 @@ def _cmd_sample(ctx: GeometryContext, args) -> str:
 def _cmd_density(ctx: GeometryContext, args) -> str:
     law = _law_from_args(ctx, args)
     rows, _ = _ingest_compositions(ctx, args)
-    dens = gaussian_density(law, rows)
+    # A row far beyond the law overflows its whitened deviation or its
+    # square; its density is then 0, which is reported below.
+    with np.errstate(over="ignore"):
+        dens = gaussian_density(law, rows)
     zero = np.flatnonzero(dens == 0.0)
     if zero.size:
         raise IngestError(f"{args.input}: density of data row {zero[0] + 1} underflows to 0")

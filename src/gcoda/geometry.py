@@ -17,7 +17,8 @@ perturbation, the logarithm is the centred log-ratio up to the factor
 distance scaled by the same factor.  ``a`` proportional to ``(1, ..., 1, 2)``
 (last component quadratic, e.g. an area among lengths) admits a closed-form
 closure through a quadratic equation.  Any other positive weight vector is
-handled by a safeguarded Newton solve in the log domain.
+handled by a Newton solve in the log domain, each step clamped at the root
+of the row's largest term.
 
 All state lives in an immutable :class:`GeometryContext`; every operation is
 a pure function.  Parts lie along the last axis: an operation accepts a
@@ -307,20 +308,20 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
 
 
 def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
-    """Safeguarded Newton on g(t) = logsumexp(logx + a*t), vectorized over rows.
+    """Newton on g(t) = logsumexp(logx + a*t), clamped at u, vectorized over rows.
 
     This is the closure solve of general weights.  It runs whole-batch,
     since its gemv slope rounds a row differently as the batch is split.
-    g is smooth, convex and increasing with slope g' in [min a, max a], so from
-    g0 = g(t0) the root lies between t0 - g0/min a and t0 - g0/max a.  Newton
-    starts at t0 = min(0, -max(logx / a)), reusing g0 and g'(t0): the second
-    term is the root of the largest single term, and g(t) >= logx_i + a_i*t,
-    so a row with a part above 1 starts at or above the root, and any other
-    row starts at t0 = 0 exactly.  By convexity every step lands at or above the
-    root, so the iterates fall monotonically onto it.  The slope bracket stays
-    as a safeguard against rounding: a step that leaves the shrinking bracket
-    (g itself is inexact at large |t|) falls back to bisection.  Only rows not
-    yet converged are iterated.  The solve converges for every weight vector
+    g is smooth, convex and increasing, and g(t) >= logx_i + a_i*t for every
+    i, so the root is never above u = -max(logx / a), the root of the largest
+    single term.  Newton starts at t0 = min(0, u): a row with a part above 1
+    starts at u, and any other row at t0 = 0 exactly.  Each step is clamped
+    at u, t_new = min(t - g/g', u).  By convexity a step from below the root
+    lands at or above it, and the clamp holds it at or below u; a step from
+    above the root falls monotonically onto it.  So after the first step the
+    iterates stay in [root, u] and never run off to where g is all rounding
+    (large |t|, with g' near min a).  Only rows not yet converged are
+    iterated.  The solve converges for every weight vector
     :func:`make_context` accepts (max a / min a at most ``_MAX_WEIGHT_RATIO``,
     each weight in [``_MIN_WEIGHT``, ``_MAX_WEIGHT``]) and every ``logx`` of
     positive float64 data (|logx| <= 745).  Far larger |logx| next to a weight
@@ -351,18 +352,11 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
         se = w.sum(axis=-1)
         return w, se, wm + np.log(se), (w @ a) / se
 
-    a_min, a_max = float(a.min()), float(a.max())
-    t = -(logx / a).max(axis=-1)
+    a_max = float(a.max())
+    u = -(logx / a).max(axis=-1)
     # where, not minimum: a row whose largest log x is 0 starts at +0.0
-    t = np.where(t < 0, t, 0.0)
+    t = np.where(u < 0, u, 0.0)
     w, se, g, gp = eval_g(logx, t)
-    # Widen g0 by far more than its rounding error and that of t0, so that a
-    # root on an end of the bracket (one part dominating the row) lies
-    # strictly inside it.
-    d = 1e-12 * (1.0 + np.abs(g) + a_max * np.abs(t))
-    lo = t + np.minimum(-(g + d) / a_min, -(g + d) / a_max)
-    hi = t + np.maximum(-(g - d) / a_min, -(g - d) / a_max)
-    del d  # one float per row that the loop does not need
     dt = np.inf
     # The closed points go to the caller's buffer; the compaction below rebinds logx.
     out, t_out, rows = logx, t.copy(), np.arange(t.size)
@@ -384,27 +378,21 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
         w = se = None
         if converged.any():
             keep = ~converged
-            rows, logx, t, g, gp, lo, hi = (v[keep] for v in (rows, logx, t, g, gp, lo, hi))
+            rows, logx, t, g, gp, u = (v[keep] for v in (rows, logx, t, g, gp, u))
         if i == _MAX_ITER:
             raise NonConvergence(f"{t.size} row(s) did not converge in {_MAX_ITER} iterations")
-        t_new = t - g / gp
-        inside = (t_new > lo) & (t_new < hi)
-        if not inside.all():
-            # Halve before adding: lo + hi overflows when |t| nears float64's maximum.
-            t_new = np.where(inside, t_new, 0.5 * lo + 0.5 * hi)
+        # minimum, like the vector's min, keeps a NaN step NaN
+        t_new = np.minimum(t - g / gp, u)
         dt = np.abs(t_new - t)
         t = t_new
         w, se, g, gp = eval_g(logx, t)
-        below = g < 0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
 
 
 def _newton_vector(a: np.ndarray, logx: np.ndarray) -> np.float64:
     """:func:`_newton_logt` for one vector ``logx``.
 
     Numpy evaluates g over the parts with the batch's operations in the
-    batch's order; t, g, g', the bracket and the steps are Python floats,
+    batch's order; t, u, g, g' and the steps are Python floats,
     whose arithmetic is the same IEEE binary64 as numpy's.  ``np.log`` stays
     numpy's, which ``math.log`` may differ from in the last bit.  t is
     returned as a numpy scalar, which broadcasts like the batch's t.
@@ -418,13 +406,10 @@ def _newton_vector(a: np.ndarray, logx: np.ndarray) -> np.float64:
         se = w.sum()
         return w, se, float(wm + np.log(se)), float((w @ a) / se)
 
-    a_min, a_max = float(a.min()), float(a.max())
-    t = -float((logx / a).max())
-    t = t if t < 0 else 0.0
+    a_max = float(a.max())
+    u = -float((logx / a).max())
+    t = u if u < 0 else 0.0
     w, se, g, gp = eval_g(t)
-    d = 1e-12 * (1.0 + abs(g) + a_max * abs(t))
-    lo = t + min(-(g + d) / a_min, -(g + d) / a_max)
-    hi = t + max(-(g - d) / a_min, -(g - d) / a_max)
     dt = math.inf
     for i in range(_MAX_ITER + 1):
         if abs(g) <= _F_TOL or dt <= _T_TOL * (1.0 / a_max + abs(t)):
@@ -432,17 +417,11 @@ def _newton_vector(a: np.ndarray, logx: np.ndarray) -> np.float64:
             return np.float64(t)
         if i == _MAX_ITER:
             raise NonConvergence(f"1 row(s) did not converge in {_MAX_ITER} iterations")
-        t_new = t - g / gp
-        # False for a NaN step, as the batch's test is.
-        if not lo < t_new < hi:
-            t_new = 0.5 * lo + 0.5 * hi
+        # The step first: min returns its first argument when it is NaN.
+        t_new = min(t - g / gp, u)
         dt = abs(t_new - t)
         t = t_new
         w, se, g, gp = eval_g(t)
-        if g < 0:
-            lo = t
-        else:
-            hi = t
 
 
 def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:

@@ -59,12 +59,13 @@ def quadratic_exponent(a0, x):
     return np.log(y) / a0
 
 
-def decimal_closure(a, x, digits=50):
+def decimal_closure(a, x, digits=50, log=False):
     """Closure of one positive vector ``x`` under weights ``a``, as ``digits``-digit Decimals.
 
     Newton on g(t) = ln sum_i x_i e^(a_i t), which is convex and increasing:
     from t = 0 the first step lands at or above the root, and the iterates
-    then fall onto it.  Every float input is taken exactly.
+    then fall onto it.  Every float input is taken exactly; with ``log``,
+    ``x`` holds the logarithms of the vector.
     """
     with decimal.localcontext() as dc:
         dc.prec = digits
@@ -72,7 +73,7 @@ def decimal_closure(a, x, digits=50):
         # weights 1e8 apart put a_i * t near 5e9 at spread 50.
         dc.Emax, dc.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
         a = [decimal.Decimal(float(v)) for v in a]
-        logx = [decimal.Decimal(float(v)).ln() for v in x]
+        logx = [decimal.Decimal(float(v)) if log else decimal.Decimal(float(v)).ln() for v in x]
         tol = decimal.Decimal(10) ** (10 - digits)
         t = decimal.Decimal(0)
         for _ in range(200):

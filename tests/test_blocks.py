@@ -70,6 +70,34 @@ def test_blocked_kernels_match_a_whole_batch_pass(width, weights, monkeypatch):
             assert same_bytes(blocked, whole), (name, n)
 
 
+def test_wide_general_lifts_close_in_four_newton_steps(monkeypatch):
+    # The general 51-part lifts of from_coords and the sampler above reach
+    # |log x| of 1e4 to 2e5.  Each row must close in at most 4 iterations to
+    # within 2 ULP of its max|log x|.
+    width = 51
+    ctx, basis = g.make_context(np.linspace(0.5, 3.0, width)), g.helmert_basis(width)
+    lifts, solve = [], geometry._newton_logt
+
+    def capture(a, logx):
+        lifts.append(logx.copy())
+        return solve(a, logx)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_newton_logt", capture)
+        for name, kernel in kernels(width):
+            if name in ("from_coords", "gaussian_sample"):
+                for n in edge_counts(width):
+                    kernel(ctx, basis, np.random.default_rng(n), n)
+    assert sum(map(len, lifts)) == 15790
+    monkeypatch.setattr(geometry, "_MAX_ITER", 4)
+    for logx in lifts:
+        t = solve(ctx.a, logx.copy())
+        w = logx + t[:, None] * ctx.a
+        wm = w.max(axis=1)
+        resid = wm + np.log(np.exp(w - wm[:, None]).sum(axis=1))
+        assert (np.abs(resid) <= 2 * np.spacing(np.abs(logx).max(axis=1))).all()
+
+
 def test_normals_match_an_unchunked_draw(monkeypatch):
     b = rows_per_block(2)  # Box-Muller pairs per chunk
     fold = b + (b + 1) // 2

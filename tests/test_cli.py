@@ -525,6 +525,16 @@ def test_sample_with_mu_sigma(tmp_path, capsys):
     assert len(out.splitlines()) == 10
 
 
+def test_negative_option_value_needs_the_equals_form(capsys):
+    # argparse reads a value that starts with "-" and is not a plain
+    # number as an option; --mu=-1,0 passes it as the value
+    code, out, err = run_any(capsys, "sample", "--param", "1,1,1", "--n", "3", "--mu", "-1,0")
+    assert code == 1 and out == "" and "expected one argument" in err
+    code, out, err = run_cli(capsys, "sample", "--param", "1,1,1", "--n", "3", "--mu=-1,0")
+    _, shifted, _ = run_cli(capsys, "sample", "--param", "1,1,1", "--n", "3", "--mu=1,0")
+    assert code == 0 and err == "" and len(out.splitlines()) == 3 and out != shifted
+
+
 def test_sample_rejects_bad_sigma(tmp_path, capsys):
     sigma = write(tmp_path, "sigma.csv", "1,1\n1,1\n")
     code, _, err = run_cli(
@@ -579,6 +589,25 @@ def test_density_underflow_names_the_row(tmp_path, capsys, fmt):
                              "--format", fmt)
     assert code == 1 and out == ""
     assert err == f"gcoda: {path}: density of data row 2 underflows to 0\n"
+
+
+@pytest.mark.parametrize("law", [
+    ["--mu=1e308,1e308"],
+    ["--sigma", "{tiny}"],
+    ["--sigma", "{sigma}", "--mu=1e308,1e308"],
+], ids=["huge-mu", "tiny-sigma", "sigma-file-huge-mu"])
+def test_density_overflow_is_one_line(tmp_path, capsys, law):
+    # the whitened deviation overflows in its square, or already in the
+    # whitening product; the density underflows to 0 without a warning
+    tiny = write(tmp_path, "tiny.csv", "1e-310,0\n0,1e-310\n")
+    sigma = write(tmp_path, "sigma.csv", "0.5,0.1\n0.1,0.3\n")
+    path = write(tmp_path, "c.csv", "0.2,0.3,0.5\n")
+    law = [v.format(tiny=tiny, sigma=sigma) for v in law]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "density", "--param", "1,1,1", "--input", path, *law)
+    assert code == 1 and out == ""
+    assert err == f"gcoda: {path}: density of data row 1 underflows to 0\n"
 
 
 def test_density_tiny_but_representable(tmp_path, capsys):

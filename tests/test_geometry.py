@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from decimal import Decimal
@@ -211,6 +212,41 @@ def test_closure_residual_across_weight_ratios_and_spreads():
                     assert np.abs(resid).max() <= 1e-11, (ratio, ctx.a.min(), spread)
 
 
+def test_closure_iterations_over_the_accepted_domain(monkeypatch):
+    # A fixed grid over what make_context and the closure accept: weight
+    # ratios up to 1e16, with the weights about 1, from 1e-300 or up to
+    # 1e300; cells of log x from -745 to 709, so rows with every log x <= 0
+    # and rows with parts above 1; and, through power and exp_map, lifts
+    # within 0.1% of the largest that _check_exponent admits.  The worst
+    # case measured is 30 iterations (closures at ratio 1e16); 2 more allow
+    # for another BLAS's rounding.
+    monkeypatch.setattr(geometry, "_MAX_ITER", 32)
+    cells = (-745.0, -300.0, -40.0, -3.0, -0.1, 0.0, 0.1, 3.0, 40.0, 300.0, 709.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ratio in (1.5, 1e2, 1e4, 1e8, 1e12, 1e16):
+            for base in (ratio ** np.array([0, 0.5, 1]), ratio ** np.array([0, 0.1, 0.5, 0.7, 1])):
+                for a in (base / math.sqrt(ratio), 1e-300 * base, base / ratio * 1e300):
+                    ctx = g.make_context(a)
+                    n = ctx.dim
+                    if n == 3:
+                        logx = np.array(list(itertools.product(cells, repeat=3)))
+                    else:
+                        logx = np.random.default_rng(0).choice(cells, size=(2000, n))
+                    lam = g.closure(ctx, np.exp(logx))
+                    lam = lam[(lam > 0).all(axis=1)]
+                    # the largest max|log x| of a lift that _check_exponent admits
+                    mag = 0.999 * (geometry._MAX_EXPONENT / max(1.0, ctx.a.max()) * ctx.a.min() - math.log(n))
+                    c = mag / -np.log(lam).min()
+                    closed = [g.power(ctx, c, lam), g.power(ctx, -c, lam)]
+                    if ctx.e_a.all():
+                        xi = g.log_map(ctx, lam)
+                        xi[:, -1] = -xi[:, :-1].sum(axis=1)
+                        closed.append(g.exp_map(ctx, xi * (mag / np.abs(xi / ctx.e_a).max())))
+                    for out in closed:
+                        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12, (a, c)
+
+
 # (weights, spread of log x, row-scaled budget, per-part budget).  Each budget
 # is the worst case measured on the test's data, rounded up to a whole ULP.
 # A change may tighten a budget; it never loosens one.
@@ -224,7 +260,7 @@ ACCURACY_BUDGETS = [
     ((0.5, 1, 1.5, 2, 3), 5, 114, 1622),
     ((0.5, 1, 1.5, 2, 3), 50, 9, 645),
     ((0.5, 1, 1.5, 2, 3), 300, 9, 972),
-    # weights 1e8 apart: the start and its bracket sit far from t = 0
+    # weights 1e8 apart: the start and the clamp u sit far from t = 0
     ((1e-4, 1, 10, 100, 1e4), 50, 3, 3474),
 ]
 
@@ -248,7 +284,7 @@ def test_closure_accuracy_against_a_decimal_reference(a, spread, row_budget, par
 
 def test_newton_root_on_bracket_end(monkeypatch):
     # one part dominates, so g is linear with slope min(a) and the root
-    # sits on an end of the closed-form bracket
+    # sits within rounding of the clamp u = -max(log x / a)
     a = np.array([0.1, 1.0, 10.0])
     logx = np.array([[13.69616873, -23.02132862, -45.90264761], [-300.0, -200.0, 13.7]])
     monkeypatch.setattr(geometry, "_MAX_ITER", 12)
@@ -283,10 +319,9 @@ def test_newton_starts_at_the_largest_term_root(monkeypatch):
 
 @pytest.mark.parametrize("a", ((1e-4, 1, 10, 100, 1e4), (1e-8, 1, 1e8)))
 def test_newton_residual_at_huge_log_magnitudes(a):
-    # exp_map lifts reach |log x| far beyond float64 data, and the start
-    # -max(log x / a) rounds at that scale.  The bracket is widened by that
-    # rounding, so the root stays inside it and the solve ends within 1 ULP of
-    # max|log x|; a bracket that ignored it left rows up to 83 ULP off.
+    # exp_map lifts reach |log x| far beyond float64 data, and the start and
+    # clamp u = -max(log x / a) round at that scale.  One term dominates, so
+    # most rows end on u itself, and every row within 1 ULP of max|log x|.
     a = np.array(a)
     rng = np.random.default_rng(73)
     for spread in (1e5, 1e10, 1e100):
@@ -313,17 +348,26 @@ def test_newton_starts_on_simplex_rows_at_zero(monkeypatch):
 
 def test_perturb_of_compositions_keeps_its_bits():
     # products of compositions have every log x <= 0, so they start at
-    # t = 0 and keep the bits pinned here
+    # t = 0.  Row 0 converges from there without a clamped step; row 1's
+    # first step overshoots u (1.554 > 1.461) and is clamped to it.  Each
+    # row is within 2 ULP of its row scale and 4 ULP of each part of a
+    # 50-digit closure of its log x.
     ctx = g.make_context([0.5, 1, 1.5, 2, 3])
     lam = [[0.1, 0.2, 0.3, 0.15, 0.25], [0.7, 0.1, 0.1, 0.05, 0.05]]
     mu = [[0.05, 0.4, 0.1, 0.3, 0.15], [1e-9, 0.25, 0.25, 0.25, 0.25 - 1e-9]]
     pinned = [
         ["0x1.f205334b59df6p-8", "0x1.7a74774f44a7ap-3", "0x1.af64799df53fcp-4", "0x1.ebbc1ccd72d7ep-3", "0x1.d94682bcf988cp-2"],
-        ["0x1.6ca140629f982p-30", "0x1.6fbacf329bd3bp-4", "0x1.5c6d95b58eacfp-3", "0x1.4a23b7ff07037p-3", "0x1.286452a1220f6p-1"],
+        ["0x1.6ca140629f96dp-30", "0x1.6fbacf329bd37p-4", "0x1.5c6d95b58eacep-3", "0x1.4a23b7ff07036p-3", "0x1.286452a1220f8p-1"],
     ]
     out = g.perturb(ctx, lam, mu)
     assert [[v.hex() for v in row] for row in out.tolist()] == pinned
     assert g.perturb(ctx, lam[0], mu[0]).tobytes() == out[0].tobytes()
+    for got, l, m in zip(out, lam, mu):
+        logx = np.log(g.as_composition(l)) + np.log(g.as_composition(m))
+        ref = decimal_closure(ctx.a, logx, log=True)
+        err = [abs(Decimal(float(v)) - r) for v, r in zip(got, ref)]
+        assert float(max(err)) / math.ulp(float(max(ref))) <= 2
+        assert max(float(e) / math.ulp(float(r)) for e, r in zip(err, ref)) <= 4
 
 
 def test_solve_t_result_types():
@@ -437,8 +481,8 @@ def test_vector_solve_matches_one_row_batch_bitwise(ratio):
     # a single vector's solve keeps its scalars as Python floats; it must
     # give the bits of the array solve of its one-row batch, closed point
     # included.  The rows are every 40th of the residual test's draws above;
-    # at ratio 1e16 and spread 700 they include row 360, where the first two
-    # weight vectors take a bisection step.  (A row of a larger batch may
+    # at every ratio they include rows whose first step is clamped at u, such
+    # as row 360 at ratio 1e16 and spread 700.  (A row of a larger batch may
     # differ in the last bit: there g' comes from a matrix-vector product.)
     rng = np.random.default_rng(72)
     draws = [rng.uniform(-s, s, size=(2000, 3)) for _ in RATIOS for s in SPREADS]
