@@ -15,9 +15,10 @@ bit moved.  The grid:
   same widths and row counts, and of ``format_edges()``;
 - the CLI's CSV ingest (``read_rows``) of files on the same widths and row
   counts: plain ones (numpy's reader takes them), ones with a byte order
-  mark, CRLF and blank lines, and ones it leaves to the ``float()`` parser
-  (a cell only ``float()`` reads, a non-numeric cell, a ragged row), plus
-  small files at the edges of the grammar;
+  mark, CRLF and blank lines, and ones it leaves to the fallback, which
+  reads every cell with ``float()`` (a cell only ``float()`` reads, a
+  non-numeric cell, a ragged row), plus small files at the edges of the
+  grammar;
 - the CLI's JSON text (``json``) of arrays and payloads on the same widths
   and row counts, written directly or through ``json.dumps``.
 
@@ -168,7 +169,7 @@ def csv_cases(cli, d: Digests, width: int) -> None:
     d.add("rows_csv", f"{width}/edges", lambda: cli._rows_csv(edges))
 
 
-# Cells only float() reads, or that no reader takes: each sends a file to the CLI's float() parser.
+# Cells only float() reads, or that no reader takes: each sends a file to the CLI's fallback reader.
 FALLBACK_CELLS = ["1_0", "\u0661\u0662", "0.5\x1c", " 1e5\x85", "x", "", "1 2", "0x10", "0.5\0"]
 SMALL_FILES = ["", " \n\t\n", "a,b\n", "a,b", "\ufeff\n a , b \r\n\r\n0.5,-2e-3\r\n", "a,b,c\n0.2,0.8\n",
                "0.2,0.8\n \n0.5,0.5\n", "0.2,0.8\n\f\n0.5,0.5\n", "0.2,0.8\n0.5\x1c,0.5\n", "\x1c0.2,0.8\x1d\n",

@@ -18,7 +18,6 @@ import re
 import sys
 import warnings
 from functools import cache
-from itertools import compress, count, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -314,40 +313,26 @@ def _loadtxt_rows(path: str, text: str) -> _Table | None:
 def _parse_rows(path: str, text: str) -> _Table:
     """``_read_rows`` of ``path``, whose text is ``text``, with ``float()`` on every cell.
 
-    Data rows are parsed in the blocks of ``_row_blocks``, each by one numpy
-    cast of its split cells.  A non-numeric cell is reported before a ragged
-    row, and a ragged row before a header of the wrong width.
+    ``np.loadtxt`` reads the stripped, non-blank lines with ``float`` as
+    every cell's converter.  If it refuses them, one more pass over the lines
+    finds the first that ``float()`` does not read, by its physical line
+    number: a non-numeric cell is reported before a ragged row, and a ragged
+    row before a header of the wrong width.
     """
-    lines = list(map(str.strip, text.split("\n")))
-    rows = list(filter(None, lines))
-    if not rows:
+    rows = [ln for ln in map(str.strip, text.split("\n")) if ln]
+    columns = _header(rows[0]) if rows else None
+    data = rows[columns is not None:]
+    if not data:
         raise IngestError(f"no data rows in {path}")
-
-    columns = _header(rows[0])
-    start = int(columns is not None)
-    if len(rows) == start:
-        raise IngestError(f"no data rows in {path}")
-    del rows[:start]
-    width = rows[0].count(",") + 1
-    out = np.empty((len(rows), width))
-    ragged = False
-    for s in _row_blocks(*out.shape):
-        block = rows[s]
-        try:
-            vals = np.array(",".join(block).split(","), dtype=float)
-        except ValueError:
-            bad = start + s.start + next(j for j, ln in enumerate(block) if _parse_line(ln) is None)
-            # the physical line number of non-blank line `bad`
-            lineno = next(islice(compress(count(1), lines), bad, None))
-            raise IngestError(f"{path}:{lineno}: non-numeric cell") from None
-        # A ragged row is reported only once every row has parsed, so that a
-        # non-numeric cell further down is reported first.
-        ragged = ragged or set(map(str.count, block, repeat(","))) != {width - 1}
-        if not ragged:
-            out[s] = vals.reshape(-1, width)
-    if ragged:
-        raise IngestError(f"{path}: ragged rows (expected {width} columns)")
-    if columns is not None and len(columns) != width:
+    try:
+        out = np.loadtxt(data, delimiter=",", comments=None, ndmin=2, converters=float)
+    except ValueError:
+        # the physical lines that float() does not read; a header is the first of them
+        bad = [i for i, ln in enumerate(map(str.strip, text.split("\n")), 1) if ln and _parse_line(ln) is None]
+        if len(bad) > (columns is not None):
+            raise IngestError(f"{path}:{bad[columns is not None]}: non-numeric cell") from None
+        raise IngestError(f"{path}: ragged rows (expected {data[0].count(',') + 1} columns)") from None
+    if columns is not None and len(columns) != out.shape[1]:
         raise IngestError(f"{path}: header width does not match data width")
     return out, columns
 
@@ -533,7 +518,11 @@ def _cmd_sub(ctx: GeometryContext, args) -> str:
 
 def _cmd_sample(ctx: GeometryContext, args) -> str:
     law = _law_from_args(ctx, args)
-    return _table(args, _no_zero_part(gaussian_sample(law, RandomSource(args.seed), args.n), "sample row", "is"))
+    # A draw whose tangent vector overflows, from a mean near float64's
+    # limit, is rejected by the lift's checks.
+    with np.errstate(over="ignore"):
+        draws = gaussian_sample(law, RandomSource(args.seed), args.n)
+    return _table(args, _no_zero_part(draws, "sample row", "is"))
 
 
 def _cmd_density(ctx: GeometryContext, args) -> str:
@@ -562,6 +551,9 @@ def _cmd_plot(ctx: GeometryContext, args) -> str:
 class _Parser(argparse.ArgumentParser):
     # usage problems are validation errors: exit 1, not argparse's default 2
     def error(self, message):
+        # argparse reads a value that starts with "-", such as --mu -1,0, as an option
+        message = re.sub(r"^argument (--[\w-]+): expected one argument$",
+                         r"\g<0> (write a value that starts with '-' as \1=VALUE)", message)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

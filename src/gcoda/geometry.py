@@ -91,9 +91,8 @@ _MIN_WEIGHT, _MAX_WEIGHT = 1e-300, 1e300
 _MAX_EXPONENT = np.finfo(float).max / 8
 
 # Cells per block, for the wide-batch kernels here and for the CLI's CSV
-# parsing and formatting.  Blocks are sized by cells, not rows, so that a
-# block's temporaries (numpy arrays here, lists of Python strings and floats
-# in the CLI) stay small for wide tables as well as narrow ones.
+# formatting.  Blocks are sized by cells, not rows, so that a block's
+# temporaries stay small for wide tables as well as narrow ones.
 _BLOCK_CELLS = 1 << 14
 
 _COMPOSITION_SUM_TOL = 1e-9
@@ -164,7 +163,8 @@ def make_context(a) -> GeometryContext:
         raise WeightOutOfRange(
             f"weight magnitudes must lie in [{_MIN_WEIGHT:g}, {_MAX_WEIGHT:g}], got {arr.min():g} to {arr.max():g}"
         )
-    if arr.max() / arr.min() > _MAX_WEIGHT_RATIO:
+    # in Python floats, whose quotient overflows to inf without a warning
+    if float(arr.max()) / float(arr.min()) > _MAX_WEIGHT_RATIO:
         raise ZeroComponent(f"weight ratio max/min exceeds {_MAX_WEIGHT_RATIO:g}; the smallest weight is zero at float64 precision")
 
     fast_path = _detect_fast_path(arr)

@@ -535,6 +535,18 @@ def test_negative_option_value_needs_the_equals_form(capsys):
     assert code == 0 and err == "" and len(out.splitlines()) == 3 and out != shifted
 
 
+@pytest.mark.parametrize("flag,argv", [
+    ("--mu", ("sample", "--param", "1,1,1", "--n", "3", "--mu", "-1,0")),
+    ("--c", ("power", "--param", "1,1,1", "--input", "x.csv", "--c", "-1e-3")),
+    ("--param", ("closure", "--param", "-1,-1,-2", "--input", "x.csv")),
+], ids=["mu", "c", "param"])
+def test_negative_option_value_error_names_the_equals_form(capsys, flag, argv):
+    code, out, err = run_any(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (f"gcoda {argv[0]}: error: argument {flag}: expected one argument"
+                   f" (write a value that starts with '-' as {flag}=VALUE)\n")
+
+
 def test_sample_rejects_bad_sigma(tmp_path, capsys):
     sigma = write(tmp_path, "sigma.csv", "1,1\n1,1\n")
     code, _, err = run_cli(
@@ -608,6 +620,15 @@ def test_density_overflow_is_one_line(tmp_path, capsys, law):
         code, out, err = run_cli(capsys, "density", "--param", "1,1,1", "--input", path, *law)
     assert code == 1 and out == ""
     assert err == f"gcoda: {path}: density of data row 1 underflows to 0\n"
+
+
+def test_sample_overflow_is_one_line(capsys):
+    # a mean near float64's limit overflows the draws' tangent vectors (the
+    # basis product) without a warning, and the lift rejects them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_cli(capsys, "sample", "--param", "1,1,1", "--n", "3", "--mu=1.7e308,1.7e308")
+    assert got == (1, "", "gcoda: components must be finite\n")
 
 
 def test_density_tiny_but_representable(tmp_path, capsys):

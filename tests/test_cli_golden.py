@@ -13,6 +13,7 @@ Regenerate the expected files (only when an output is meant to change) with
 """
 
 import contextlib
+import decimal
 import io
 import re
 import sys
@@ -21,7 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gcoda as g
 from gcoda.cli import main
+
+from _oracles import decimal_closure
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = GOLDEN / "fixtures"
@@ -99,6 +103,38 @@ def test_cli_output_file_holds_stdout_bytes(weights, command, tmp_path):
         code = main([*_argv(weights, command), "--output", str(path)])
     assert code == 0 and out.getvalue() == ""
     assert path.read_bytes() == _run(weights, command).encode("utf-8")
+
+
+def _compositions(name: str) -> np.ndarray:
+    """The rows of a fixture, divided by their sums twice, as ingest and then the kernel do."""
+    rows = np.loadtxt(FIXTURES / name, delimiter=",", skiprows=1)
+    for _ in range(2):
+        rows = rows / rows.sum(axis=-1, keepdims=True)
+    return rows
+
+
+def _oracle_logs(command: str, ctx) -> np.ndarray:
+    """The float64 logarithms whose closure ``command``'s golden holds, formed as the CLI forms them."""
+    if command == "closure":
+        return np.log(np.loadtxt(FIXTURES / "pos5.csv", delimiter=","))
+    if command == "power":
+        return 0.5 * np.log(_compositions("comp5.csv"))
+    if command == "perturb":
+        by = g.closure(ctx, [2.0, 1.0, 1.0, 3.0, 1.0])
+        return np.log(_compositions("comp5.csv")) + np.log(by / by.sum())
+    return np.loadtxt(FIXTURES / "tan5.csv", delimiter=",") / ctx.e_a  # exp: the lift xi / e_a
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+@pytest.mark.parametrize("command", ["closure", "power", "perturb", "exp"])
+def test_golden_cells_are_the_true_closure_rounded(weights, command):
+    # each cell is the 50-digit closure of the same float64 logarithms,
+    # rounded to 12 significant digits
+    ctx = g.make_context([float(v) for v in WEIGHTS[weights][0].split(",")])
+    twelve = decimal.Context(prec=12)
+    want = [[twelve.plus(v) for v in decimal_closure(ctx.a, row, log=True)] for row in _oracle_logs(command, ctx)]
+    text = (GOLDEN / f"{weights}-{command}.out").read_text(encoding="utf-8")
+    assert [[decimal.Decimal(c) for c in line.split(",")] for line in text.splitlines()] == want
 
 
 if __name__ == "__main__":

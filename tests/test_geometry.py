@@ -118,6 +118,14 @@ def test_weight_ratio_above_bound_rejected():
         g.make_context([1.0, 2e16])
 
 
+def test_weight_ratio_past_float64_rejected_without_a_warning():
+    # max / min of weights 1e-300 and 1e300 overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(g.ZeroComponent, match="ratio"):
+            g.make_context([1e-300, 1.0, 1e300])
+
+
 def test_weight_magnitude_out_of_range_rejected():
     for a in ([1e-301, 1.0], [1e-320, 2e-320], [1.0, 1e301], [1e308, 1.5e308], [-1e-306, -2e-306]):
         with pytest.raises(g.WeightOutOfRange, match="magnitudes"):
