@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import html
+import itertools
 import json
 import math
 import re
@@ -29,6 +30,7 @@ from .errors import (
     GcodaError,
     IngestError,
     NonConvergence,
+    NonPositiveValue,
     NotPositiveDefinite,
     NumericalOverflow,
 )
@@ -314,10 +316,10 @@ def _parse_rows(path: str, text: str) -> _Table:
     """``_read_rows`` of ``path``, whose text is ``text``, with ``float()`` on every cell.
 
     ``np.loadtxt`` reads the stripped, non-blank lines with ``float`` as
-    every cell's converter.  If it refuses them, one more pass over the lines
-    finds the first that ``float()`` does not read, by its physical line
-    number: a non-numeric cell is reported before a ragged row, and a ragged
-    row before a header of the wrong width.
+    every cell's converter.  If it refuses them, one more pass over those
+    lines finds the first that ``float()`` does not read, reported by its
+    physical line number: a non-numeric cell is reported before a ragged
+    row, and a ragged row before a header of the wrong width.
     """
     rows = [ln for ln in map(str.strip, text.split("\n")) if ln]
     columns = _header(rows[0]) if rows else None
@@ -327,14 +329,18 @@ def _parse_rows(path: str, text: str) -> _Table:
     try:
         out = np.loadtxt(data, delimiter=",", comments=None, ndmin=2, converters=float)
     except ValueError:
-        # the physical lines that float() does not read; a header is the first of them
-        bad = [i for i, ln in enumerate(map(str.strip, text.split("\n")), 1) if ln and _parse_line(ln) is None]
-        if len(bad) > (columns is not None):
-            raise IngestError(f"{path}:{bad[columns is not None]}: non-numeric cell") from None
-        raise IngestError(f"{path}: ragged rows (expected {data[0].count(',') + 1} columns)") from None
-    if columns is not None and len(columns) != out.shape[1]:
-        raise IngestError(f"{path}: header width does not match data width")
-    return out, columns
+        pass  # reported below, once the traceback that keeps loadtxt's frames alive is gone
+    else:
+        if columns is not None and len(columns) != out.shape[1]:
+            raise IngestError(f"{path}: header width does not match data width")
+        return out, columns
+    # the first non-blank line that float() does not read, the header skipped, else the rows are ragged
+    bad = next((k for k, ln in enumerate(data, columns is not None) if _parse_line(ln) is None), None)
+    if bad is None:
+        raise IngestError(f"{path}: ragged rows (expected {data[0].count(',') + 1} columns)")
+    del rows, data
+    numbers = (i for i, ln in enumerate(text.split("\n"), 1) if ln.strip())  # of the non-blank lines
+    raise IngestError(f"{path}:{next(itertools.islice(numbers, bad, None))}: non-numeric cell")
 
 
 def _ingest_free(path: str) -> _Table:
@@ -518,10 +524,14 @@ def _cmd_sub(ctx: GeometryContext, args) -> str:
 
 def _cmd_sample(ctx: GeometryContext, args) -> str:
     law = _law_from_args(ctx, args)
-    # A draw whose tangent vector overflows, from a mean near float64's
-    # limit, is rejected by the lift's checks.
-    with np.errstate(over="ignore"):
-        draws = gaussian_sample(law, RandomSource(args.seed), args.n)
+    # A mean near float64's limit overflows the draws' tangent vectors (not
+    # finite) or their lift (too large to close): one numerical failure.
+    try:
+        with np.errstate(over="ignore"):
+            draws = gaussian_sample(law, RandomSource(args.seed), args.n)
+    except (NonPositiveValue, NumericalOverflow):
+        mu = float(np.abs(law.mean_coords).max())
+        raise NumericalOverflow(f"the draws overflow float64: --mu (max |mu| = {mu:.3g}) or --sigma is too large") from None
     return _table(args, _no_zero_part(draws, "sample row", "is"))
 
 

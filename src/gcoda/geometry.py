@@ -101,6 +101,12 @@ _TANGENT_SUM_TOL = 1e-10
 # in t, and iteration budget.
 _F_TOL, _T_TOL, _MAX_ITER = 1e-13, 1e-14, 200
 
+# Fewest rows a batch row reduction folds column by column (``_row_reduce``).
+# Each column costs a numpy call of ~1.5 us.  At about this many rows of 3 to
+# 7 parts, a row max and a row sum cost the same either way; above it the
+# fold wins (2 vCPU VM, numpy 2.4.6).
+_ROW_FOLD_MIN = 64
+
 
 @dataclass(frozen=True)
 class GeometryContext:
@@ -262,6 +268,27 @@ def _row_blocks(rows: int, width: int):
         start = stop
 
 
+def _row_reduce(ufunc, rows: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(rows, axis=-1)`` for ``np.maximum`` or ``np.add``, with the same bits.
+
+    numpy reduces short rows slowly: the row max of a 4000x5 array takes
+    ~16x as long as folding its five columns together.  So a row-matrix of
+    at least ``_ROW_FOLD_MIN`` rows and fewer than 8 columns is folded one
+    column at a time, in index order.  A max is exact in any order, save
+    that numpy's gives a positive NaN for a row led by a negative one.
+    Below 8 elements numpy sums a row as ``0.0 + x0 + x1 + ...`` in index
+    order, so the fold starts from ``x0 + 0.0`` (a row of -0.0 sums to
+    +0.0); from 8 on it sums pairwise, so wider rows, like single vectors
+    and short batches, keep numpy's reduction.
+    """
+    if rows.ndim != 2 or len(rows) < _ROW_FOLD_MIN or not 0 < rows.shape[1] < 8:
+        return ufunc.reduce(rows, axis=-1)
+    out = rows[:, 0] + 0.0 if ufunc is np.add else rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        ufunc(out, rows[:, j], out=out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Closure root solve.  The kernels act on the last axis: one vector, or a
 # row-matrix row by row.
@@ -290,20 +317,20 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
         head, last = x[:, :-1], x[:, -1]
         # Written in z * e^m, the terms' coefficients are x_i * e^-m and
         # x_last * e^(-p*m); m makes the largest of them 1.
-        m = np.maximum(head.max(axis=1), last / p)
+        m = np.maximum(_row_reduce(np.maximum, head), last / p)
         head -= m[:, None]
         last -= p * m
         np.exp(x, out=x)
         if fast_path == UNIFORM:
-            t[s] = -(m + np.log(x.sum(axis=1))) / a[0]
+            t[s] = -(m + np.log(_row_reduce(np.add, x))) / a[0]
         else:
-            s_head = head.sum(axis=1)
+            s_head = _row_reduce(np.add, head)
             # Rationalized positive root z * e^m of  x_last*z**2 + S*z - 1 = 0 in the shifted terms;
             # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
             z = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * last))
             t[s] = (np.log(z) - m) / a[0]
             last *= z
-        x /= x.sum(axis=1)[:, None]
+        x /= _row_reduce(np.add, x)[:, None]
     return t.reshape(logx.shape[:-1])
 
 
@@ -346,14 +373,14 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
         # exp(w - max w) in place.
         w = np.multiply.outer(t, a)
         w += logx
-        wm = w.max(axis=-1)
+        wm = _row_reduce(np.maximum, w)
         w -= wm[..., None]
         np.exp(w, out=w)
-        se = w.sum(axis=-1)
+        se = _row_reduce(np.add, w)
         return w, se, wm + np.log(se), (w @ a) / se
 
     a_max = float(a.max())
-    u = -(logx / a).max(axis=-1)
+    u = -_row_reduce(np.maximum, logx / a)
     # where, not minimum: a row whose largest log x is 0 starts at +0.0
     t = np.where(u < 0, u, 0.0)
     w, se, g, gp = eval_g(logx, t)

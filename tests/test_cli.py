@@ -622,13 +622,25 @@ def test_density_overflow_is_one_line(tmp_path, capsys, law):
     assert err == f"gcoda: {path}: density of data row 1 underflows to 0\n"
 
 
+SAMPLE_OVERFLOW = "gcoda: numerical failure: the draws overflow float64: --mu (max |mu| = {}) or --sigma is too large\n"
+
+
 def test_sample_overflow_is_one_line(capsys):
     # a mean near float64's limit overflows the draws' tangent vectors (the
     # basis product) without a warning, and the lift rejects them
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = run_cli(capsys, "sample", "--param", "1,1,1", "--n", "3", "--mu=1.7e308,1.7e308")
-    assert got == (1, "", "gcoda: components must be finite\n")
+    assert got == (2, "", SAMPLE_OVERFLOW.format("1.7e+308"))
+
+
+def test_sample_lift_overflow_is_the_same_failure(capsys):
+    # finite tangent vectors whose lift is too large to close fail as the
+    # overflowing ones above do, with the same line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_cli(capsys, "sample", "--param", "1,1.5,2", "--n", "3", "--mu=1e308,-1e308")
+    assert got == (2, "", SAMPLE_OVERFLOW.format("1e+308"))
 
 
 def test_density_tiny_but_representable(tmp_path, capsys):

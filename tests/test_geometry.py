@@ -515,6 +515,72 @@ def test_vector_solve_matches_one_row_batch_bitwise(ratio):
                     assert g.closure(ctx, x).tobytes() == g.closure(ctx, x[None]).tobytes()
 
 
+ROW_COUNTS = (0, 1, geometry._ROW_FOLD_MIN - 1, geometry._ROW_FOLD_MIN, 4000)
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_reduce_keeps_numpys_bits(width):
+    # _row_reduce folds the short rows of a tall batch one column at a time;
+    # its bits must be numpy's row reduction's, so a numpy that changes its
+    # short-row summation order fails here.  The strided rows are the view
+    # x[:, :-1] that the quadratic closed form reduces (1 column for 2 parts).  One known exception:
+    # numpy's row max of a row that starts with a negative NaN is a positive
+    # NaN, where the fold keeps the sign.  No kernel output shows it, since a
+    # NaN row ends in NonConvergence, so such rows are compared as NaN only.
+    rng = np.random.default_rng(90)
+    specials = np.array([np.inf, -np.inf, np.nan, -np.nan, -0.0, 0.0])
+    for n in ROW_COUNTS:
+        x = rng.standard_normal((n, width + 1)) * np.exp(rng.uniform(-30, 30, (n, width + 1)))
+        spots = rng.random(x.shape) < 0.1
+        x[spots] = rng.choice(specials, spots.sum())
+        x[1::7] = -0.0
+        for rows in (np.ascontiguousarray(x[:, :-1]), x[:, :-1]):
+            for ufunc in (np.maximum, np.add):
+                with np.errstate(invalid="ignore"):
+                    got, want = geometry._row_reduce(ufunc, rows), ufunc.reduce(rows, axis=1)
+                assert np.array_equal(np.isnan(got), np.isnan(want)), (n, ufunc)
+                keep = ~(np.isnan(rows[:, 0]) & np.signbit(rows[:, 0])) if ufunc is np.maximum else slice(None)
+                assert got[keep].tobytes() == want[keep].tobytes(), (n, ufunc)
+
+
+def test_row_fold_keeps_the_kernels_bits(monkeypatch):
+    # every closure kernel gives the same bits, t included, with the row
+    # fold and with numpy's row reduction in its place; the general inputs
+    # are lib-newton's shapes, and the closed forms run on 5000x5 batches
+    rng = np.random.default_rng(91)
+    cases = []
+    for a in ((0.5, 1.0, 1.5, 2.0, 3.0), (1.0, 2.0, 3.0)):
+        ctx = g.make_context(a)
+        n, unif = ctx.dim, g.make_context(np.ones(ctx.dim))
+        for spread in (5, 50, 300):
+            x = np.exp(rng.uniform(-spread, spread, (4000, n)))
+            lam, mu = (g.closure(unif, np.exp(rng.uniform(-spread, spread, (4000, n)))) for _ in range(2))
+            xi = g.log_map(ctx, lam)
+            cases += [
+                (g.closure, (ctx, x), np.log(x)),
+                (g.exp_map, (ctx, xi), xi / ctx.e_a),
+                (g.perturb, (ctx, lam, mu), np.log(lam) + np.log(mu)),
+                (g.power, (ctx, 1.7, lam), 1.7 * np.log(lam)),
+            ]
+    for a in ((1, 1, 1, 1, 1), (1, 1, 1, 1, 2)):
+        ctx = g.make_context(a)
+        for spread in (5, 350):
+            x = np.exp(rng.uniform(-spread, spread, (5000, 5)))
+            cases.append((g.closure, (ctx, x), np.log(x)))
+
+    def outputs():
+        out = []
+        for op, args, logx in cases:
+            ctx, closed = args[0], logx.copy()
+            t = geometry._solve_logt(ctx.a, closed, ctx.fast_path)
+            out += [op(*args).tobytes(), t.tobytes(), closed.tobytes()]
+        return out
+
+    folded = outputs()
+    monkeypatch.setattr(geometry, "_row_reduce", lambda ufunc, rows: ufunc.reduce(rows, axis=-1))
+    assert outputs() == folded
+
+
 def test_vector_nonconvergence_names_one_row(monkeypatch):
     ctx = g.make_context([0.5, 1, 1.5, 2, 3])
     x = np.exp(np.random.default_rng(44).uniform(-5, 5, size=5))  # converges in 2 iterations
