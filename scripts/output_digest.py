@@ -11,6 +11,9 @@ bit moved.  The grid:
 - closure input at log spreads 5 and 350 (at 350, the quadratic form's
   x_last**2 overflows float64 in the linear domain);
 - 20 000 ``as_tangent`` verdicts on rows with parts up to 1.8e308;
+- single vectors of 2 to 8 and of 51 parts with one or two parts set to
+  NaN, ±inf, ±0, -1, the smallest subnormal or 1.7e308, through every
+  public entry point that validates a vector (``validation``);
 - the CLI's CSV text (``rows_csv``) of values over 1e-300 ... 1e300 on the
   same widths and row counts, and of ``format_edges()``;
 - the CLI's CSV ingest (``read_rows``) of files on the same widths and row
@@ -135,6 +138,10 @@ def kernel_cases(g, d: Digests, width: int) -> None:
                 d.add("pca", case, lambda: g.pca(ctx, basis, one(mu), width - 1))
                 if n <= MAX_DISTANCE_ROWS:
                     d.add("pairwise_distance", case, lambda: g.pairwise_distance(ctx, one(mu)))
+                d.add("distance", case, lambda: g.distance(ctx, one(lam), one(mu)))
+                d.add("distance", f"{case}/by-vector", lambda: g.distance(ctx, one(lam), mu[0]))
+                d.add("norm", case, lambda: g.norm(ctx, one(mu)))
+                d.add("inner", case, lambda: g.inner(ctx, one(lam), one(mu)))
                 d.add("gaussian_density", case, lambda: g.gaussian_density(law, one(lam)))
             d.add("gaussian_sample", f"{width}/{label}/{n}", lambda: g.gaussian_sample(law, g.RandomSource(n), n))
 
@@ -248,6 +255,47 @@ def tangent_verdicts(g, d: Digests) -> None:
         d.add("as_tangent", f"{i}", lambda: g.as_tangent(row) is not None and "accepted")
 
 
+EDGE_VALUES = (np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 5e-324, 1.7e308)
+
+
+def validation_verdicts(g, d: Digests) -> None:
+    """Single vectors with one part, or two, set to each of ``EDGE_VALUES``, through every validating entry point.
+
+    Below 8 parts the checks accept in Python floats, from 8 on in numpy; two
+    parts of 1.7e308 make a composition's sum overflow.
+    """
+    for width in (2, 3, 4, 5, 6, 7, 8, 51):
+        ctx = g.make_context(np.linspace(0.5, 3.0, width))
+        lam, xi = np.full(width, 1.0 / width), np.linspace(-1.0, 1.0, width)
+        spots = [((i,), (b,)) for i in sorted({0, 1, width - 1}) for b in EDGE_VALUES]
+        spots += [((0, width - 1), (b, c)) for b in EDGE_VALUES for c in EDGE_VALUES]
+        for where, values in spots:
+            def put(v: np.ndarray) -> np.ndarray:
+                v = v.copy()
+                v[list(where)] = values
+                return v
+
+            bad_lam, bad_xi, case = put(lam), put(xi), f"{width}/{where}/{values}"
+            calls = {
+                "as_free": lambda: g.ambient.as_free(bad_xi),
+                "as_positive": lambda: g.ambient.as_positive(bad_lam),
+                "as_composition": lambda: g.as_composition(bad_lam),
+                "as_tangent": lambda: g.as_tangent(bad_xi),
+                "solve_t": lambda: g.solve_t(ctx, bad_lam),
+                "closure": lambda: g.closure(ctx, bad_lam),
+                "log_map": lambda: g.log_map(ctx, bad_lam),
+                "exp_map": lambda: g.exp_map(ctx, bad_xi),
+                "power": lambda: g.power(ctx, 1.7, bad_lam),
+                "perturb": lambda: g.perturb(ctx, lam, bad_lam),
+                "distance": lambda: g.distance(ctx, bad_lam, lam),
+                "distance/second": lambda: g.distance(ctx, lam, bad_lam),
+                "norm": lambda: g.norm(ctx, bad_lam),
+                "inner": lambda: g.inner(ctx, lam, bad_lam),
+            }
+            for name, call in calls.items():
+                d.add("validation", f"{case}/{name}", call)
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
     sys.path.insert(0, str(src))
@@ -259,6 +307,7 @@ def main(argv: list[str]) -> int:
     for width in WIDTHS:
         kernel_cases(gcoda, d, width)
     tangent_verdicts(gcoda, d)
+    validation_verdicts(gcoda, d)
     for width in WIDTHS:
         csv_cases(cli, d, width)
     with tempfile.TemporaryDirectory() as root:

@@ -9,6 +9,8 @@ a row-matrix of vectors and returns the matching shape.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveValue, NumericalOverflow
@@ -19,6 +21,8 @@ __all__ = ["as_positive", "as_free", "oplus", "odot", "amb_exp", "amb_log"]
 def as_free(v) -> np.ndarray:
     """Validate ``v`` as an unconstrained coordinate vector (or row-matrix)."""
     arr = np.asarray(v, dtype=float)
+    if _short_above(arr, -math.inf):
+        return arr
     if arr.ndim not in (1, 2) or arr.shape[-1] < 2:
         raise DimensionMismatch(f"expected a vector of >= 2 components, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -28,10 +32,23 @@ def as_free(v) -> np.ndarray:
 
 def as_positive(x) -> np.ndarray:
     """Validate ``x`` as one strictly positive vector or a row-matrix of them."""
-    arr = as_free(x)
-    if not (arr > 0).all():
+    arr = np.asarray(x, dtype=float)
+    if not _short_above(arr, 0.0) and not (as_free(arr) > 0).all():
         raise NonPositiveValue("components must be strictly positive")
     return arr
+
+
+def _short_above(arr: np.ndarray, floor: float) -> bool:
+    """Whether ``arr`` is one vector of 2 to 7 finite parts, each above ``floor``, tested in Python floats.
+
+    On so short a vector each of numpy's checks costs several times this
+    test.  It only accepts: any array it does not accept goes through the
+    numpy checks, which raise their errors in their order.
+    """
+    if arr.ndim != 1 or not 1 < arr.size < 8:
+        return False
+    parts = arr.tolist()
+    return all(map(math.isfinite, parts)) and min(parts) > floor
 
 
 def _pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

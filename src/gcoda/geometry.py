@@ -204,8 +204,10 @@ def as_composition(lam) -> np.ndarray:
 
 def _on_simplex(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``rows`` divided by their sums, and which sums (an infinite one too) miss 1 by more than 1e-9."""
-    sums = rows.sum(axis=-1, keepdims=True)
-    return rows / sums, (np.abs(sums - 1.0) > _COMPOSITION_SUM_TOL)[..., 0]
+    sums = _row_reduce(np.add, rows)
+    if rows.ndim == 1:
+        return rows / sums, np.bool_(abs(sums - 1.0) > _COMPOSITION_SUM_TOL)
+    return rows / sums[:, None], np.abs(sums - 1.0) > _COMPOSITION_SUM_TOL
 
 
 def as_tangent(xi) -> np.ndarray:
@@ -219,7 +221,7 @@ def as_tangent(xi) -> np.ndarray:
     """
     arr = as_free(xi)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.abs(arr.sum(axis=-1))
+        sums = np.abs(_row_reduce(np.add, arr))
         # The tolerance is never below 1e-10, so only the rows beyond 1e-10
         # need their sum |x|; a nan sum exceeds nothing.
         big = sums > _TANGENT_SUM_TOL
@@ -278,9 +280,28 @@ def _row_reduce(ufunc, rows: np.ndarray) -> np.ndarray:
     that numpy's gives a positive NaN for a row led by a negative one.
     Below 8 elements numpy sums a row as ``0.0 + x0 + x1 + ...`` in index
     order, so the fold starts from ``x0 + 0.0`` (a row of -0.0 sums to
-    +0.0); from 8 on it sums pairwise, so wider rows, like single vectors
-    and short batches, keep numpy's reduction.
+    +0.0); from 8 on it sums pairwise, so wider rows and short batches keep
+    numpy's reduction.
+
+    A single vector of fewer than 8 parts is folded the same way in Python
+    floats, whose arithmetic is numpy's IEEE binary64, and its result is a
+    Python float: numpy's fixed cost per call is several times a 5-part
+    fold's.  Its max follows ``np.maximum``: a NaN wins, and of two equal
+    parts (0.0 and -0.0) the later.  A sum that is not finite is numpy's
+    again, with numpy's overflow and invalid-value warnings.
     """
+    if rows.ndim == 1 and 0 < rows.size < 8:
+        parts = rows.tolist()
+        if ufunc is np.add:
+            out = 0.0
+            for x in parts:
+                out += x
+            return out if math.isfinite(out) else ufunc.reduce(rows)
+        out = parts[0]
+        for x in parts:
+            if not out > x and out == out:
+                out = x
+        return out
     if rows.ndim != 2 or len(rows) < _ROW_FOLD_MIN or not 0 < rows.shape[1] < 8:
         return ufunc.reduce(rows, axis=-1)
     out = rows[:, 0] + 0.0 if ufunc is np.add else rows[:, 0].copy()
@@ -419,22 +440,23 @@ def _newton_vector(a: np.ndarray, logx: np.ndarray) -> np.float64:
     """:func:`_newton_logt` for one vector ``logx``.
 
     Numpy evaluates g over the parts with the batch's operations in the
-    batch's order; t, u, g, g' and the steps are Python floats,
-    whose arithmetic is the same IEEE binary64 as numpy's.  ``np.log`` stays
-    numpy's, which ``math.log`` may differ from in the last bit.  t is
-    returned as a numpy scalar, which broadcasts like the batch's t.
+    batch's order, and ``_row_reduce`` its max and sum with the batch's
+    bits; t, u, g, g' and the steps are Python floats, whose arithmetic is
+    the same IEEE binary64 as numpy's.  ``np.log`` stays numpy's, which
+    ``math.log`` may differ from in the last bit.  t is returned as a numpy
+    scalar, which broadcasts like the batch's t.
     """
     def eval_g(t):
         w = a * t
         w += logx
-        wm = w.max()
+        wm = _row_reduce(np.maximum, w)
         w -= wm
         np.exp(w, out=w)
-        se = w.sum()
+        se = _row_reduce(np.add, w)
         return w, se, float(wm + np.log(se)), float((w @ a) / se)
 
-    a_max = float(a.max())
-    u = -float((logx / a).max())
+    a_max = float(_row_reduce(np.maximum, a))
+    u = -float(_row_reduce(np.maximum, logx / a))
     t = u if u < 0 else 0.0
     w, se, g, gp = eval_g(t)
     dt = math.inf
@@ -514,16 +536,17 @@ def log_map(ctx: GeometryContext, lam) -> np.ndarray:
     For uniform weights this is the centred log-ratio divided by N+1.
 
     The weighted sums come from one whole-batch product; the rest maps every
-    input in place, a single vector as one row, one ``_row_blocks`` block at a time.
+    input in place, a batch one ``_row_blocks`` block at a time.
     """
     arr = as_composition(lam)
     _check_dim(ctx, arr)
     # as_composition returns a new array, so its logarithm is taken in place.
     L = np.log(arr, out=arr)
-    w = ((L @ ctx.e_a) / ctx.s).reshape(-1, 1)
-    rows, ae = L.reshape(-1, ctx.dim), ctx.a * ctx.e_a
-    for s in _row_blocks(*rows.shape):
-        np.subtract(ctx.e_a * rows[s], w[s] * ae, out=rows[s])
+    w, ae = (L @ ctx.e_a) / ctx.s, ctx.a * ctx.e_a
+    if L.ndim == 1:
+        return np.subtract(ctx.e_a * L, w * ae, out=L)
+    for s in _row_blocks(*L.shape):
+        np.subtract(ctx.e_a * L[s], w[s, None] * ae, out=L[s])
     return L
 
 
@@ -604,13 +627,19 @@ def inner(ctx: GeometryContext, lam, mu):
 
 def norm(ctx: GeometryContext, lam):
     """Norm induced by :func:`inner`."""
-    return _item(np.linalg.norm(log_map(ctx, lam), axis=-1))
+    return _norm(log_map(ctx, lam))
 
 
 def distance(ctx: GeometryContext, lam, mu):
     """Translation-invariant distance: Euclidean distance of log-map images."""
     xi, eta = _pair(log_map(ctx, lam), log_map(ctx, mu))
-    return _item(np.linalg.norm(xi - eta, axis=-1))
+    return _norm(xi - eta)
+
+
+def _norm(v: np.ndarray):
+    """``np.linalg.norm(v, axis=-1)``, ``sqrt(sum(v * v))``, with its bits; a vector's as a Python float."""
+    sq = _row_reduce(np.add, v * v)
+    return math.sqrt(sq) if v.ndim == 1 else np.sqrt(sq)
 
 
 def pairwise_distance(ctx: GeometryContext, rows) -> np.ndarray:
@@ -632,7 +661,7 @@ def pairwise_distance(ctx: GeometryContext, rows) -> np.ndarray:
     for i in range(m - 1):
         d = np.subtract(xi[i + 1:], xi[i], out=buf[i + 1:])
         d *= d
-        out[i, i + 1:] = out[i + 1:, i] = np.sqrt(np.add.reduce(d, axis=1))
+        out[i, i + 1:] = out[i + 1:, i] = np.sqrt(_row_reduce(np.add, d))
     return out
 
 

@@ -541,6 +541,60 @@ def test_row_reduce_keeps_numpys_bits(width):
                 assert np.array_equal(np.isnan(got), np.isnan(want)), (n, ufunc)
                 keep = ~(np.isnan(rows[:, 0]) & np.signbit(rows[:, 0])) if ufunc is np.maximum else slice(None)
                 assert got[keep].tobytes() == want[keep].tobytes(), (n, ufunc)
+    # Single vectors, strided ones too: below 8 parts _row_reduce folds them
+    # in Python floats.  They hold ±inf, ±0.0 and NaN parts, and every sign
+    # pattern of zeros; a NaN result is compared as NaN.
+    v = rng.standard_normal((2000, width)) * np.exp(rng.uniform(-30, 30, (2000, width)))
+    spots = rng.random(v.shape) < 0.3
+    v[spots] = rng.choice(specials, spots.sum())
+    v[1::7] = -0.0
+    zeros = np.array(list(itertools.product((0.0, -0.0), repeat=width)))
+    for vectors in (v, np.asfortranarray(v), zeros):
+        for vec in vectors:
+            for ufunc in (np.maximum, np.add):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = np.float64(geometry._row_reduce(ufunc, vec)), ufunc.reduce(vec)
+                assert np.isnan(got) == np.isnan(want), (vec, ufunc)
+                assert np.isnan(want) or got.tobytes() == want.tobytes(), (vec, ufunc)
+
+
+FINITE = (g.NonPositiveValue, "components must be finite")
+POSITIVE = (g.NonPositiveValue, "components must be strictly positive")
+TANGENT_SUM = (g.NotInTangentSpace, "components must sum to 0 (within 1e-10)")
+# parts written over a vector from its second part on, and the error of a
+# composition and of a tangent vector that carry them
+BAD_PARTS = {
+    "nan": ([np.nan], FINITE, FINITE),
+    "inf": ([np.inf], FINITE, FINITE),
+    "-inf": ([-np.inf], FINITE, FINITE),
+    "zero": ([0.0], POSITIVE, TANGENT_SUM),
+    "negative": ([-2.0], POSITIVE, TANGENT_SUM),
+    "inf before a negative": ([np.inf, -2.0], FINITE, FINITE),
+    "nan after a negative": ([-2.0, np.nan], FINITE, FINITE),
+}
+
+
+@pytest.mark.parametrize("n", [5, 51])
+@pytest.mark.parametrize("label", BAD_PARTS)
+def test_single_vector_validation_messages(label, n):
+    # 5 parts take the short-vector checks in Python floats, 51 parts
+    # numpy's; both raise the same error, with finiteness tested first
+    parts, composition_error, tangent_error = BAD_PARTS[label]
+    ctx = g.make_context(np.linspace(0.5, 3.0, n))
+    lam, xi = np.full(n, 1.0 / n), np.linspace(-1.0, 1.0, n)
+
+    def bad(v):
+        v = v.copy()
+        v[1:1 + len(parts)] = parts
+        return v
+
+    calls = [(composition_error, g.closure, ctx, bad(lam)), (composition_error, g.log_map, ctx, bad(lam)),
+             (composition_error, g.distance, ctx, bad(lam), lam), (composition_error, g.distance, ctx, lam, bad(lam)),
+             (tangent_error, g.exp_map, ctx, bad(xi))]
+    for (error, message), op, *args in calls:
+        with pytest.raises(error) as info:
+            op(*args)
+        assert type(info.value) is error and str(info.value) == message, op.__name__
 
 
 def test_row_fold_keeps_the_kernels_bits(monkeypatch):

@@ -7,8 +7,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import output_digest  # noqa: E402
 
 KERNELS = ["make_context", "solve_t", "closure", "log_map", "exp_map", "power", "perturb", "coords",
-           "from_coords", "frechet_mean", "sample_covariance", "pca", "pairwise_distance",
-           "gaussian_density", "gaussian_sample", "as_tangent", "rows_csv", "read_rows", "json"]
+           "from_coords", "frechet_mean", "sample_covariance", "pca", "pairwise_distance", "distance", "norm",
+           "inner", "gaussian_density", "gaussian_sample", "as_tangent", "validation", "rows_csv", "read_rows",
+           "json"]
 
 
 def test_two_runs_print_the_same_digests(monkeypatch, capsys):
