@@ -6,8 +6,8 @@ bit moved.  The grid:
 
 - widths 3, 5 and 51;
 - uniform, quadratic and two general weight vectors;
-- row counts from 1 to 5000 across the edges of 2^14-cell row blocks, and
-  single vectors;
+- row counts from 1 to 5000 across the edges of 2^14-cell row blocks and
+  of the column folds (63, 64 and 65 rows), and single vectors;
 - closure input at log spreads 5 and 350 (at 350, the quadratic form's
   x_last**2 overflows float64 in the linear domain);
 - 20 000 ``as_tangent`` verdicts on rows with parts up to 1.8e308;
@@ -48,10 +48,14 @@ TANGENT_ROWS = 20000
 
 
 def row_counts(width: int) -> list[int]:
-    """Row counts at the block edges of ``width``-part rows, up to ``MAX_ROWS``."""
+    """Row counts at the block edges of ``width``-part rows and the column-fold edge, up to ``MAX_ROWS``.
+
+    A batch of at least 64 rows and fewer than 8 parts is reduced one column
+    at a time; 63, 64 and 65 rows sit on both sides of that edge.
+    """
     b = BLOCK_CELLS // width
     fold = b + (b + 1) // 2  # the fewest rows that split into two blocks
-    edges = {1, 2, 7, b - 1, b, b + 1, fold - 1, fold, 2 * b + 1, MAX_ROWS}
+    edges = {1, 2, 7, 63, 64, 65, b - 1, b, b + 1, fold - 1, fold, 2 * b + 1, MAX_ROWS}
     return sorted(n for n in edges if 1 <= n <= MAX_ROWS)
 
 

@@ -28,6 +28,7 @@ result of a single vector is a Python ``float`` or ``bool``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -101,7 +102,9 @@ _TANGENT_SUM_TOL = 1e-10
 # in t, and iteration budget.
 _F_TOL, _T_TOL, _MAX_ITER = 1e-13, 1e-14, 200
 
-# Fewest rows a batch row reduction folds column by column (``_row_reduce``).
+# Fewest rows of a batch that row-wise kernels work on one column at a time
+# (``_by_columns``): the row reductions of ``_row_reduce`` and the Newton
+# solve's per-part products.
 # Each column costs a numpy call of ~1.5 us.  At about this many rows of 3 to
 # 7 parts, a row max and a row sum cost the same either way; above it the
 # fold wins (2 vCPU VM, numpy 2.4.6).
@@ -245,7 +248,7 @@ def _check_exponent(ctx: GeometryContext, mag: float, what: str) -> None:
     that forming it cannot overflow with a warning).  The solve's exponent t
     lies within (mag + log N) / min a of zero.
     """
-    bound = (mag + math.log(ctx.dim)) / float(ctx.a.min()) * max(1.0, float(ctx.a.max()))
+    bound = (mag + math.log(ctx.dim)) / min(ctx.a.tolist()) * max(1.0, *ctx.a.tolist())
     if not bound <= _MAX_EXPONENT:
         raise NumericalOverflow(f"{what} = {mag:.3g} is too large: the closure solve would overflow float64")
 
@@ -268,6 +271,20 @@ def _row_blocks(rows: int, width: int):
             stop = rows
         yield slice(start, stop)
         start = stop
+
+
+def _by_columns(rows: np.ndarray) -> bool:
+    """Whether row-wise kernels work on ``rows`` one column at a time.
+
+    That is a row-matrix of at least ``_ROW_FOLD_MIN`` rows and fewer than 8
+    parts.  numpy reduces such short rows slowly (``_row_reduce``), and it
+    also forms products of per-row and per-part values slowly: at 4000x5,
+    ``np.multiply.outer(t, a)`` takes ~46 us against ~25 us for five column
+    products.  A per-row value broadcast over such rows (``w -= wm[:,
+    None]``) takes about as long either way, but numpy 2 buffers it, up to
+    64 KiB per call, and one call per column needs no buffer.
+    """
+    return rows.ndim == 2 and len(rows) >= _ROW_FOLD_MIN and 0 < rows.shape[1] < 8
 
 
 def _row_reduce(ufunc, rows: np.ndarray) -> np.ndarray:
@@ -302,7 +319,7 @@ def _row_reduce(ufunc, rows: np.ndarray) -> np.ndarray:
             if not out > x and out == out:
                 out = x
         return out
-    if rows.ndim != 2 or len(rows) < _ROW_FOLD_MIN or not 0 < rows.shape[1] < 8:
+    if not _by_columns(rows):
         return ufunc.reduce(rows, axis=-1)
     out = rows[:, 0] + 0.0 if ufunc is np.add else rows[:, 0].copy()
     for j in range(1, rows.shape[1]):
@@ -379,9 +396,14 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     Each evaluation of g forms ``exp(w - max w)`` and its sum for
     ``w = logx + a*t``, so the evaluation that converges a row has already
     computed its closed point ``softmax(logx + a*t)``: that exponential
-    divided by its sum.  Each row's closed point is written over its row of
-    ``logx`` as the row finishes, bit for bit what a separate softmax at the
-    returned t gives.
+    divided by its sum.  When rows finish, their rows of the exponential are
+    taken out by integer position and the rest of it is freed; only they
+    are divided by their sums, and they are written over their rows of
+    ``logx``, bit for bit what a separate softmax at the returned t gives.
+    The unfinished rows are taken on by integer position too.  A batch that
+    ``_row_reduce`` folds (``_by_columns``) forms ``a*t``, ``w - max w``,
+    that division and the start's ``logx / a`` one column at a time, so the
+    start makes no n-by-d quotient.
 
     A single vector runs the same arithmetic in :func:`_newton_vector`, with
     its scalars as Python floats, so it gives the bits of its one-row batch.
@@ -389,51 +411,71 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     if logx.ndim == 1:
         return _newton_vector(a, logx)
 
+    def per_row(op, rows, v):
+        # op(rows, v[:, None], out=rows), by columns where _row_reduce folds:
+        # numpy 2 buffers a broadcast over short rows, up to 64 KiB per call
+        if not _by_columns(rows):
+            return op(rows, v[:, None], out=rows)
+        for c in rows.T:
+            op(c, v, out=c)
+
     def eval_g(logx, t):
         # One buffer: a*t, then + logx (the same sum as logx + a*t), then
-        # exp(w - max w) in place.
-        w = np.multiply.outer(t, a)
+        # exp(w - max w) in place; g goes over max w.
+        if _by_columns(logx):
+            w = np.empty(logx.shape)
+            for c, aj in zip(w.T, a):
+                np.multiply(t, aj, out=c)
+        else:
+            w = np.multiply.outer(t, a)
         w += logx
         wm = _row_reduce(np.maximum, w)
-        w -= wm[..., None]
+        per_row(np.subtract, w, wm)
         np.exp(w, out=w)
         se = _row_reduce(np.add, w)
-        return w, se, wm + np.log(se), (w @ a) / se
+        return w, se, np.add(wm, np.log(se), out=wm), (w @ a) / se
 
     a_max = float(a.max())
-    u = -_row_reduce(np.maximum, logx / a)
+    # u = -max(logx / a); a batch that _row_reduce folds takes the quotients
+    # one column at a time, in _row_reduce's order
+    if _by_columns(logx):
+        u = -functools.reduce(np.maximum, (c / aj for c, aj in zip(logx.T, a)))
+    else:
+        u = -_row_reduce(np.maximum, logx / a)
     # where, not minimum: a row whose largest log x is 0 starts at +0.0
     t = np.where(u < 0, u, 0.0)
-    w, se, g, gp = eval_g(logx, t)
     dt = np.inf
     # The closed points go to the caller's buffer; the compaction below rebinds logx.
     out, t_out, rows = logx, t.copy(), np.arange(t.size)
     for i in range(_MAX_ITER + 1):
+        w, se, g, gp = eval_g(logx, t)
         # Residual target, or step stagnation at the float64 noise floor
         # (reachable only for inputs with huge log magnitudes).  The floor is
         # relative to |t| plus 1 / max a, one unit of the exponents a * t, so
         # that the test does not pass at once for large weights and tiny t.
         converged = (np.abs(g) <= _F_TOL) | (dt <= _T_TOL * (1.0 / a_max + np.abs(t)))
-        # Finished rows are written out and dropped from the solve.
-        if converged.any():
-            done = rows[converged]
-            t_out[done] = t[converged]
-            w /= se[..., None]
-            out[done] = w[converged]
-        if converged.all():
+        # Finished rows leave the evaluation, which frees the rest of it,
+        # before only they are divided by their sums and written out.  Rows
+        # are taken by integer position: a 4000x5 take costs ~8 us, a
+        # boolean mask ~46 us.
+        hit = converged.nonzero()[0]
+        w = w.take(hit, axis=0)
+        done, se = rows[hit], se[hit]
+        t_out[done] = t[hit]
+        per_row(np.divide, w, se)
+        out[done] = w
+        if hit.size == t.size:
             return t_out
-        # Free the evaluation before the compaction and the next evaluation allocate.
-        w = se = None
-        if converged.any():
-            keep = ~converged
-            rows, logx, t, g, gp, u = (v[keep] for v in (rows, logx, t, g, gp, u))
+        if hit.size:
+            keep = (~converged).nonzero()[0]
+            rows, logx, t, g, gp, u = (v.take(keep, axis=0) for v in (rows, logx, t, g, gp, u))
+        # Free the finished rows and the positions before the next evaluation allocates.
+        w = se = done = hit = keep = None
         if i == _MAX_ITER:
             raise NonConvergence(f"{t.size} row(s) did not converge in {_MAX_ITER} iterations")
         # minimum, like the vector's min, keeps a NaN step NaN
         t_new = np.minimum(t - g / gp, u)
-        dt = np.abs(t_new - t)
-        t = t_new
-        w, se, g, gp = eval_g(logx, t)
+        t, dt = t_new, np.abs(t_new - t)
 
 
 def _newton_vector(a: np.ndarray, logx: np.ndarray) -> np.float64:

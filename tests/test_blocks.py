@@ -180,6 +180,23 @@ def test_quadratic_closure_runs_in_blocks(rows, width, bound):
     assert peak <= bound * lam.nbytes
 
 
+@pytest.mark.parametrize("op, bound", (("closure", 5.31), ("perturb", 7.37)))
+def test_general_closure_working_memory_is_bounded_by_its_output(op, bound):
+    # 4000 rows of 5 parts under general weights: the Newton solve runs
+    # whole-batch.  Beyond its output it holds the evaluation, the rows still
+    # unsolved and per-row values; perturb also holds its two validated
+    # operands.  The bounds are the multiples of the output that the solve
+    # took when it divided every active row by its sum and compacted with
+    # boolean masks (5.30x and 7.36x).
+    ctx = g.make_context((0.5, 1.0, 1.5, 2.0, 3.0))
+    rng = np.random.default_rng(1)
+    x = np.exp(rng.uniform(-5, 5, (4000, 5)))
+    lam, mu = compositions(rng, 4000, 5), compositions(rng, 4000, 5)
+    call = {"closure": lambda: g.closure(ctx, x), "perturb": lambda: g.perturb(ctx, lam, mu)}[op]
+    out, peak = allocation_peak(call)
+    assert peak <= bound * out.nbytes
+
+
 def test_gaussian_density_working_memory_is_that_of_coords():
     # 20000 rows of 51 parts: besides coords' output, a whole-batch density
     # kept the deviations, the solve's y and y * y (3.0 outputs' worth)

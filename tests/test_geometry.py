@@ -467,6 +467,42 @@ def test_closures_match_separate_softmax_bitwise(a):
                     assert np.array_equal(v, v0[i])
 
 
+@pytest.mark.parametrize("rows", (64, 65, 4000))
+@pytest.mark.parametrize("a", BITWISE_WEIGHTS)
+def test_folded_batch_closures_match_separate_softmax_bitwise(a, rows):
+    # A batch of at least 64 rows and fewer than 8 parts forms a*t, w - max w,
+    # the start u and the row sums one column at a time, and finished rows
+    # leave it by integer positions; its closed points must still be bit for
+    # bit the softmax at the solved t, at log spreads 5, 50, 300 and 700
+    ctx = g.make_context(a)
+    rng = np.random.default_rng(48)
+    n = ctx.dim
+    assert geometry._by_columns(np.empty((rows, n)))
+
+    def batch(spreads):
+        per = -(-rows // len(spreads))
+        x = np.vstack([rng.uniform(-s, s, size=(per, n)) for s in spreads])
+        return x[rng.permutation(len(x))[:rows]]
+
+    x = np.exp(batch((5, 50, 300, 700)))
+    uniform = g.make_context(np.ones(n))
+    lam = g.closure(uniform, np.exp(batch((2.5, 25, 150, 350))))
+    mu = g.closure(uniform, np.exp(batch((2.5, 25, 150, 350))))
+    cases = [
+        (g.closure, (x,), np.log(x)),
+        (g.perturb, (lam, mu), np.log(g.as_composition(lam)) + np.log(g.as_composition(mu))),
+        (lambda c, v: g.power(c, 1.7, v), (lam,), 1.7 * np.log(g.as_composition(lam))),
+        (lambda c, v: g.power(c, -2.3, v), (lam,), -2.3 * np.log(g.as_composition(lam))),
+    ]
+    if ctx.e_a.all():
+        xi = g.log_map(ctx, lam)
+        cases.append((g.exp_map, (xi,), xi / ctx.e_a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op, args, logx in cases:
+            assert np.array_equal(op(ctx, *args), closed_ref(ctx, logx)), op
+
+
 @pytest.mark.parametrize("a", ((1, 1, 1, 1), (1, 1, 1, 2), *BITWISE_WEIGHTS))
 def test_neutral_element_is_the_softmax_at_the_solved_exponent_bitwise(a):
     # make_context closes (1, ..., 1) through the closure solve; e_a and s
