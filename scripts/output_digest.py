@@ -184,7 +184,9 @@ def csv_cases(cli, d: Digests, width: int) -> None:
 FALLBACK_CELLS = ["1_0", "\u0661\u0662", "0.5\x1c", " 1e5\x85", "x", "", "1 2", "0x10", "0.5\0"]
 SMALL_FILES = ["", " \n\t\n", "a,b\n", "a,b", "\ufeff\n a , b \r\n\r\n0.5,-2e-3\r\n", "a,b,c\n0.2,0.8\n",
                "0.2,0.8\n \n0.5,0.5\n", "0.2,0.8\n\f\n0.5,0.5\n", "0.2,0.8\n0.5\x1c,0.5\n", "\x1c0.2,0.8\x1d\n",
-               "\xa00.2 ,\t0.8\f\n0.5\x85,\u20280.5\n", "nan,-inf\n1e400,-1e-400\n", "0.2,0.8\n0.5\n", "1,2\r3,4"]
+               "\xa00.2 ,\t0.8\f\n0.5\x85,\u20280.5\n", "nan,-inf\n1e400,-1e-400\n", "0.2,0.8\n0.5\n", "1,2\r3,4",
+               # the error order: a non-numeric cell before a ragged row, a ragged row before the header's width
+               "0.2,0.8\n0.5\n0.5,x\n", "a,b,c\n0.2,0.8\n0.5\n", "a\n0.2,0.8\n", "a\x1c,b\n0.2,0.8\n"]
 
 
 def read_cases(cli, d: Digests, width: int, root: Path) -> None:

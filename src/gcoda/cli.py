@@ -260,90 +260,65 @@ def _read_text(path: str) -> str:
         raise IngestError(f"{path}: not UTF-8 text") from None
 
 
-def _read_rows(path: str) -> _Table:
-    """Parse a CSV table of floats, with an optional header row.
-
-    Lines end at newlines only (CRLF and CR read as newlines), so a cell may
-    end in other whitespace such as a form feed.  Blank lines are skipped;
-    cells are read with Python's ``float()`` grammar.  Every file goes to
-    numpy's C reader (``_loadtxt_rows``) first, and one it does not take to
-    ``_parse_rows``, to the same array bit for bit.  Error messages name the
-    file and, for a non-numeric cell, the physical line it sits on.
-    """
-    text = _read_text(path)
-    table = _loadtxt_rows(path, text)
-    return table if table is not None else _parse_rows(path, text)
-
-
 # Whitespace to str.strip() and to np.loadtxt, but not to float(): "0.5\x1c"
 # is a number to np.loadtxt only.
 _UNIT_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _loadtxt_rows(path: str, text: str) -> _Table | None:
-    """The table of ``path``, whose text is ``text``, by ``np.loadtxt``; None if it may differ.
+def _read_rows(path: str) -> _Table:
+    """Parse a CSV table of floats, with an optional header row.
 
-    ``np.loadtxt`` parses a cell as ``float()`` does, save for the
+    Lines end at newlines only (CRLF and CR read as newlines), so a cell may
+    end in other whitespace such as a form feed.  Blank lines are skipped;
+    cells are read with Python's ``float()`` grammar.  The header is the
+    first non-blank line, if it is not all numbers.  Errors name the file,
+    and a non-numeric cell its physical line: a non-numeric cell is reported
+    before a ragged row, and a ragged row before a header of the wrong width.
+
+    Two parsers give the same array bit for bit.  numpy's C reader reads the
+    file from its path (a copy of the text in a ``StringIO`` takes 4 bytes a
+    character).  It parses a cell as ``float()`` does, save for the
     ``_UNIT_SEPARATORS`` it strips, and rejects the rest of ``float()``'s
-    grammar (``1_0``, non-ASCII digits).  So text holding a unit separator
-    gives None, as does any the reader rejects, warns about or finds empty:
-    whitespace-only lines, non-numeric cells, ragged rows, a header and no
-    data.  ``_parse_rows`` then reads the file or reports its error.  The
-    reader reads the file from its path: a copy of ``text`` in a ``StringIO``
-    takes 4 bytes a character, and a file object is read line by line.
+    grammar (``1_0``, non-ASCII digits).  A file that holds a unit separator,
+    or that the C reader rejects, warns about or finds empty, goes to
+    ``np.loadtxt`` over its stripped non-blank lines, with ``float`` as every
+    cell's converter.  If that refuses them too, one more pass finds the
+    first line that ``float()`` does not read.
     """
-    if any(c in text for c in _UNIT_SEPARATORS):
-        return None
-    first = re.search(r"\S", text)
-    if first is None:
-        return None
-    start = text.rfind("\n", 0, first.start()) + 1
-    end = text.find("\n", start)
-    columns = _header(text[start:end if end >= 0 else None].strip())  # of the first non-blank line
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # such as "input contained no data"
-            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig",
-                              skiprows=text.count("\n", 0, end + 1) if columns else 0)
-    except (ValueError, Warning):
-        return None
-    if not rows.size or (columns is not None and len(columns) != rows.shape[1]):
-        return None
+    text = _read_text(path)
+    first = re.search(r"\S.*", text)  # the first non-blank line, from its first non-space
+    columns = _header(first.group().strip()) if first else None
+    rows = None
+    if not any(c in text for c in _UNIT_SEPARATORS):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # such as "input contained no data"
+                rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig",
+                                  skiprows=text.count("\n", 0, first.end()) + 1 if columns else 0)
+        except (ValueError, Warning):
+            pass
+    if rows is None:
+        data = [ln for ln in map(str.strip, text.split("\n")) if ln][columns is not None:]
+        if not data:
+            raise IngestError(f"no data rows in {path}")
+        try:
+            rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2, converters=float)
+        except ValueError:
+            pass  # reported below, once the traceback that keeps loadtxt's frames alive is gone
+        if rows is None:
+            # the first data line that float() does not read, else the rows are ragged
+            bad = next((k for k, ln in enumerate(data, columns is not None) if _parse_line(ln) is None), None)
+            if bad is None:
+                raise IngestError(f"{path}: ragged rows (expected {data[0].count(',') + 1} columns)")
+            del data
+            numbers = (i for i, ln in enumerate(text.split("\n"), 1) if ln.strip())  # of the non-blank lines
+            raise IngestError(f"{path}:{next(itertools.islice(numbers, bad, None))}: non-numeric cell")
+    if columns is not None and len(columns) != rows.shape[1]:
+        raise IngestError(f"{path}: header width does not match data width")
     return rows, columns
 
 
-def _parse_rows(path: str, text: str) -> _Table:
-    """``_read_rows`` of ``path``, whose text is ``text``, with ``float()`` on every cell.
-
-    ``np.loadtxt`` reads the stripped, non-blank lines with ``float`` as
-    every cell's converter.  If it refuses them, one more pass over those
-    lines finds the first that ``float()`` does not read, reported by its
-    physical line number: a non-numeric cell is reported before a ragged
-    row, and a ragged row before a header of the wrong width.
-    """
-    rows = [ln for ln in map(str.strip, text.split("\n")) if ln]
-    columns = _header(rows[0]) if rows else None
-    data = rows[columns is not None:]
-    if not data:
-        raise IngestError(f"no data rows in {path}")
-    try:
-        out = np.loadtxt(data, delimiter=",", comments=None, ndmin=2, converters=float)
-    except ValueError:
-        pass  # reported below, once the traceback that keeps loadtxt's frames alive is gone
-    else:
-        if columns is not None and len(columns) != out.shape[1]:
-            raise IngestError(f"{path}: header width does not match data width")
-        return out, columns
-    # the first non-blank line that float() does not read, the header skipped, else the rows are ragged
-    bad = next((k for k, ln in enumerate(data, columns is not None) if _parse_line(ln) is None), None)
-    if bad is None:
-        raise IngestError(f"{path}: ragged rows (expected {data[0].count(',') + 1} columns)")
-    del rows, data
-    numbers = (i for i, ln in enumerate(text.split("\n"), 1) if ln.strip())  # of the non-blank lines
-    raise IngestError(f"{path}:{next(itertools.islice(numbers, bad, None))}: non-numeric cell")
-
-
-def _ingest_free(path: str) -> _Table:
+def _ingest_free(path: str) -> _Table:  # its own name, for the benchmark replay to wrap and time
     return _read_rows(path)
 
 

@@ -304,8 +304,11 @@ def _row_reduce(ufunc, rows: np.ndarray) -> np.ndarray:
     floats, whose arithmetic is numpy's IEEE binary64, and its result is a
     Python float: numpy's fixed cost per call is several times a 5-part
     fold's.  Its max follows ``np.maximum``: a NaN wins, and of two equal
-    parts (0.0 and -0.0) the later.  A sum that is not finite is numpy's
-    again, with numpy's overflow and invalid-value warnings.
+    parts (0.0 and -0.0) the later.  A sum that is not finite, of a vector
+    or of a folded batch, is numpy's again, with numpy's overflow and
+    invalid-value warnings (``... encountered in reduce``, not ``in add``).
+    The closure solves sum exponentials of at most 1, which cannot
+    overflow, and call :func:`_fold` directly.
     """
     if rows.ndim == 1 and 0 < rows.size < 8:
         parts = rows.tolist()
@@ -319,6 +322,15 @@ def _row_reduce(ufunc, rows: np.ndarray) -> np.ndarray:
             if not out > x and out == out:
                 out = x
         return out
+    if ufunc is np.maximum or not _by_columns(rows):
+        return _fold(ufunc, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _fold(np.add, rows)
+    return out if np.isfinite(out).all() else np.add.reduce(rows, axis=-1)
+
+
+def _fold(ufunc, rows: np.ndarray) -> np.ndarray:
+    """:func:`_row_reduce` of a batch, with numpy's bits but with ``ufunc``'s warnings where it folds."""
     if not _by_columns(rows):
         return ufunc.reduce(rows, axis=-1)
     out = rows[:, 0] + 0.0 if ufunc is np.add else rows[:, 0].copy()
@@ -360,15 +372,15 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
         last -= p * m
         np.exp(x, out=x)
         if fast_path == UNIFORM:
-            t[s] = -(m + np.log(_row_reduce(np.add, x))) / a[0]
+            t[s] = -(m + np.log(_fold(np.add, x))) / a[0]
         else:
-            s_head = _row_reduce(np.add, head)
+            s_head = _fold(np.add, head)
             # Rationalized positive root z * e^m of  x_last*z**2 + S*z - 1 = 0 in the shifted terms;
             # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
             z = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * last))
             t[s] = (np.log(z) - m) / a[0]
             last *= z
-        x /= _row_reduce(np.add, x)[:, None]
+        x /= _fold(np.add, x)[:, None]
     return t.reshape(logx.shape[:-1])
 
 
@@ -432,7 +444,7 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
         wm = _row_reduce(np.maximum, w)
         per_row(np.subtract, w, wm)
         np.exp(w, out=w)
-        se = _row_reduce(np.add, w)
+        se = _fold(np.add, w)
         return w, se, np.add(wm, np.log(se), out=wm), (w @ a) / se
 
     a_max = float(a.max())

@@ -1,10 +1,12 @@
 """The CLI's C-reader ingest and its direct JSON writer against their exact fallbacks.
 
-``_read_rows`` takes ``np.loadtxt``'s array when ``_loadtxt_rows`` accepts the
-file, else that of ``_parse_rows``; ``_json`` writes plain float arrays from
-``_rows_csv`` text, else through ``json.dumps``.  Whichever path a file or a
-payload takes, the result must be that of the per-cell references in
-``test_cli_bulk_io``, bit for bit and byte for byte, messages included.
+``_read_rows`` takes the array of ``np.loadtxt`` on the file's path when
+numpy's C reader accepts the file, else that of ``np.loadtxt`` over its
+stripped lines with ``float`` as the converter; ``_json`` writes plain float
+arrays from ``_rows_csv`` text, else through ``json.dumps``.  Whichever path
+a file or a payload takes, the result must be that of the per-cell
+references in ``test_cli_bulk_io``, bit for bit and byte for byte, messages
+included.  A spy on ``np.loadtxt`` shows which path a file took.
 """
 
 import json
@@ -23,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from output_digest import format_edges  # noqa: E402
 
 UNIT_SEPARATORS = "\x1c\x1d\x1e\x1f"
+LOADTXT = np.loadtxt
 
 
 def outcome(read, path):
@@ -34,8 +37,29 @@ def outcome(read, path):
         return str(exc)
 
 
-def parse_rows(path):
-    return cli._parse_rows(path, Path(path).read_text(encoding="utf-8-sig"))
+def refuse_paths(source, *args, **kwargs):
+    """``np.loadtxt``, save that it refuses a file path as the C reader refuses a file."""
+    if isinstance(source, str):
+        raise ValueError("refused")
+    return LOADTXT(source, *args, **kwargs)
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The ``np.loadtxt`` calls made during a test: what each read, and its converters."""
+    calls = []
+
+    def spy(source, *args, **kwargs):
+        calls.append((source, kwargs.get("converters")))
+        return LOADTXT(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+def write(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -79,22 +103,23 @@ def csv_texts(draw):
 @example("0.2,0.8\n0.5\x1c,0.5\n")
 @example("\ufeff\n a , b \r\n\r\n1.5,-2e-3\r\n0.25,nan\r\n")
 @example("1,2\n \n3,4\n")
-def test_ingest_matches_the_fallback_and_the_reference(tmp_path, text):
+def test_ingest_matches_the_fallback_and_the_reference(tmp_path, monkeypatch, text):
     path = tmp_path / "t.csv"
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-    got = outcome(cli._read_rows, path)
-    assert got == outcome(parse_rows, path)
-    assert got == outcome(ref_read_rows, path)
+    write(path, text)
+    want = outcome(ref_read_rows, path)
+    assert outcome(cli._read_rows, path) == want
+    with monkeypatch.context() as m:  # every text through the fallback
+        m.setattr(np, "loadtxt", refuse_paths)
+        assert outcome(cli._read_rows, path) == want
 
 
-def test_a_unit_separator_ending_a_cell_is_non_numeric(tmp_path, capsys):
+def test_a_unit_separator_ending_a_cell_is_non_numeric(tmp_path, capsys, loadtxt_calls):
     # np.loadtxt strips "\x1c" around a cell and float() does not
     path = tmp_path / "us.csv"
     path.write_text("0.2,0.8\n0.5\x1c,0.5\n", encoding="utf-8")
-    assert cli._loadtxt_rows(str(path), path.read_text(encoding="utf-8")) is None
     assert cli.main(["log", "--param", "1,1", "--input", str(path)]) == 1
     assert capsys.readouterr().err == f"gcoda: {path}:2: non-numeric cell\n"
+    assert [converters for _, converters in loadtxt_calls] == [float]
 
 
 @pytest.mark.parametrize("text,columns", [
@@ -105,32 +130,47 @@ def test_a_unit_separator_ending_a_cell_is_non_numeric(tmp_path, capsys):
     ("\xa00.2 ,\t0.8\f\n0.5\x85,\u20280.5\n", None),
     ("nan,-inf\n1e400,-1e-400\n", None),
 ])
-def test_plain_files_take_the_c_reader(tmp_path, text, columns):
+def test_plain_files_take_the_c_reader(tmp_path, text, columns, loadtxt_calls):
     path = tmp_path / "p.csv"
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-    table = cli._loadtxt_rows(str(path), path.read_text(encoding="utf-8-sig"))
-    assert table is not None and table[1] == columns
-    assert outcome(lambda p: table, path) == outcome(parse_rows, path) == outcome(ref_read_rows, path)
+    write(path, text)
+    got = outcome(cli._read_rows, path)
+    assert loadtxt_calls == [(str(path), None)]
+    assert got[2] == columns and got == outcome(ref_read_rows, path)
 
 
 @pytest.mark.parametrize("text", ["", " \n\t\n", "a,b\n", "a,b", "1_0,2\n", "\u0661,2\n", "0.2,0.8\n \n0.5,0.5\n",
-                                  "0.2,0.8\n0.5\n", "0.2,x\n", "0.2,\n", "a,b,c\n0.2,0.8\n", "0.2,0.8\n0.5\x1f,0.5\n"])
-def test_other_files_take_the_fallback(tmp_path, text):
+                                  "0.2,0.8\n0.5\n", "0.2,x\n", "0.2,\n", "0.2,0.8\n0.5\x1f,0.5\n", "\n\x1c\n"])
+def test_other_files_take_the_fallback(tmp_path, text, loadtxt_calls):
+    # The C reader refuses these files or finds them empty, or is not tried
+    # on a unit separator.  The fallback converts the stripped lines with
+    # float, unless it finds no data line below the header ("0.2,x" is one).
     path = tmp_path / "f.csv"
     path.write_text(text, encoding="utf-8")
-    assert cli._loadtxt_rows(str(path), text) is None
-    assert outcome(cli._read_rows, path) == outcome(parse_rows, path)
+    want = outcome(ref_read_rows, path)
+    assert outcome(cli._read_rows, path) == want
+    calls = [(str(path), None)] * (not any(c in text for c in UNIT_SEPARATORS))
+    if want != f"no data rows in {path}":
+        calls.append(("lines", float))
+    assert [(source if isinstance(source, str) else "lines", conv) for source, conv in loadtxt_calls] == calls
 
 
-def test_a_multi_block_file_takes_the_c_reader(tmp_path):
+@pytest.mark.parametrize("text", ["a,b,c\n0.2,0.8\n", "a\n0.2,0.8\n0.5,0.5\n"])
+def test_a_wrong_width_header_over_a_c_read_file_fails_at_once(tmp_path, text, loadtxt_calls):
+    # the C reader's rows are numeric and even, so the header's width is the only error left
+    path = tmp_path / "h.csv"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(cli._read_rows, path) == f"{path}: header width does not match data width"
+    assert loadtxt_calls == [(str(path), None)]
+
+
+def test_a_multi_block_file_takes_the_c_reader(tmp_path, loadtxt_calls):
     rng = np.random.default_rng(7)
     rows = rng.uniform(-1, 1, (3 * geometry._BLOCK_CELLS // 5 + 11, 5)) * 10.0 ** rng.integers(-300, 300, (1, 5))
     path = tmp_path / "m.csv"
     path.write_text("p1,p2,p3,p4,p5\n" + "\n".join(",".join(map(repr, r)) for r in rows.tolist()) + "\n",
                     encoding="utf-8")
-    assert cli._loadtxt_rows(str(path), path.read_text(encoding="utf-8")) is not None
     got = outcome(cli._read_rows, path)
+    assert loadtxt_calls == [(str(path), None)]
     assert got == outcome(ref_read_rows, path) and got[1] == rows.tobytes()
 
 

@@ -270,17 +270,30 @@ ACCURACY_BUDGETS = [
     ((0.5, 1, 1.5, 2, 3), 300, 9, 972),
     # weights 1e8 apart: the start and the clamp u sit far from t = 0
     ((1e-4, 1, 10, 100, 1e4), 50, 3, 3474),
+    ((1e-3, 1, 1e3), 5, 559, 9489),
+    ((1e-3, 1, 1e3), 50, 18, 710),
+    ((1e-3, 1, 1e3), 300, 7, 240),
+    ((1, 2, 3), 5, 173, 1002),
+    ((1, 2, 3), 50, 5, 202),
+    ((1, 2, 3), 300, 2, 1775),
+    ((1e-8, 1, 1e8), 5, 375, 2041),
+    ((1e-8, 1, 1e8), 50, 30, 712),
+    ((1e-8, 1, 1e8), 300, 4, 273),
+    # the quadratic weights out of order take the Newton solve
+    ((2, 1, 1, 1, 1), 5, 14, 344),
+    ((2, 1, 1, 1, 1), 50, 3, 557),
+    ((2, 1, 1, 1, 1), 300, 2, 788),
 ]
 
 
 @pytest.mark.parametrize("a, spread, row_budget, part_budget", ACCURACY_BUDGETS)
 def test_closure_accuracy_against_a_decimal_reference(a, spread, row_budget, part_budget):
-    # 100 rows of 5 parts, log x uniform in [-spread, spread], against a
+    # 100 rows of len(a) parts, log x uniform in [-spread, spread], against a
     # 50-digit closure.  Errors are in ULP of the row's largest part and of
     # each part; the large per-part errors are in small parts, whose
     # condition number is about a_i * |t|.
     ctx = g.make_context(a)
-    x = np.exp(np.random.default_rng(spread).uniform(-spread, spread, (100, 5)))
+    x = np.exp(np.random.default_rng(spread).uniform(-spread, spread, (100, len(a))))
     row_err = part_err = 0.0
     for got, row in zip(g.closure(ctx, x), x):
         ref = decimal_closure(ctx.a, row)
@@ -594,6 +607,26 @@ def test_row_reduce_keeps_numpys_bits(width):
                 assert np.isnan(want) or got.tobytes() == want.tobytes(), (vec, ufunc)
 
 
+@pytest.mark.parametrize("n", [1, geometry._ROW_FOLD_MIN - 1, geometry._ROW_FOLD_MIN, 4000])
+def test_a_sum_that_is_not_finite_warns_as_numpy_does(n):
+    # a folded batch sums through np.add, but a sum that overflows or meets
+    # inf - inf is numpy's reduction again, with its bits and its warning;
+    # n = 1 is a single vector
+    def batch(row):
+        return np.array([row] * n)[0 if n == 1 else slice(None)]
+
+    for row, message in (([1.7e308, 1.7e308, 1.0], "overflow"), ([np.inf, -np.inf, 1.0], "invalid value")):
+        rows = batch(row)
+        with pytest.warns(RuntimeWarning) as seen:
+            sums = geometry._row_reduce(np.add, rows)
+        assert [str(w.message) for w in seen] == [f"{message} encountered in reduce"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.float64(sums).tobytes() == np.add.reduce(rows, axis=-1).tobytes()
+    with pytest.warns(RuntimeWarning) as seen, pytest.raises(g.NotOnSimplex):
+        g.as_composition(batch([1.7e308] * 3))
+    assert [str(w.message) for w in seen] == ["overflow encountered in reduce"]
+
+
 FINITE = (g.NonPositiveValue, "components must be finite")
 POSITIVE = (g.NonPositiveValue, "components must be strictly positive")
 TANGENT_SUM = (g.NotInTangentSpace, "components must sum to 0 (within 1e-10)")
@@ -667,7 +700,7 @@ def test_row_fold_keeps_the_kernels_bits(monkeypatch):
         return out
 
     folded = outputs()
-    monkeypatch.setattr(geometry, "_row_reduce", lambda ufunc, rows: ufunc.reduce(rows, axis=-1))
+    monkeypatch.setattr(geometry, "_fold", lambda ufunc, rows: ufunc.reduce(rows, axis=-1))
     assert outputs() == folded
 
 
