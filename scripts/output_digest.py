@@ -10,6 +10,12 @@ bit moved.  The grid:
   of the column folds (63, 64 and 65 rows), and single vectors;
 - closure input at log spreads 5 and 350 (at 350, the quadratic form's
   x_last**2 overflows float64 in the linear domain);
+- under general weights, single vectors and one-row batches whose row
+  maxima in the Newton solve tie (``ties``): all-ones input, where every
+  log x is 0; a part of 1 beside parts of 1e-300, where the start t = 0 is
+  the root; the neutral element, where t = 0 exactly; log x proportional
+  to the weights; two largest parts equal; and zero tangents, with signed
+  zeros too;
 - 20 000 ``as_tangent`` verdicts on rows with parts up to 1.8e308;
 - single vectors of 2 to 8 and of 51 parts with one or two parts set to
   NaN, ±inf, ±0, -1, the smallest subnormal or 1.7e308, through every
@@ -148,6 +154,34 @@ def kernel_cases(g, d: Digests, width: int) -> None:
                 d.add("inner", case, lambda: g.inner(ctx, one(lam), one(mu)))
                 d.add("gaussian_density", case, lambda: g.gaussian_density(law, one(lam)))
             d.add("gaussian_sample", f"{width}/{label}/{n}", lambda: g.gaussian_sample(law, g.RandomSource(n), n))
+
+
+def tie_cases(g, d: Digests, width: int) -> None:
+    """``closure``, ``solve_t`` and ``exp_map`` on vectors whose maxima in the Newton solve tie.
+
+    Ties in a max differ at most in the sign of zero, which no output bit may
+    show, whichever of the tied parts a max returns.
+    """
+    for label, a in weight_vectors(width).items():
+        ctx = g.make_context(a)
+        if ctx.fast_path != "general":
+            continue
+        top = np.full(width, 0.1)
+        top[[0, -1]] = 0.6
+        # "unit-top": u = -0.0 as for "ones", and t = 0 is already the root
+        xs = {"ones": np.ones(width), "unit-top": np.r_[1.0, np.full(width - 1, 1e-300)], "neutral": ctx.e_a,
+              "along-a": np.exp(-0.7 * ctx.a), "along-a-above-1": np.exp(0.3 * ctx.a), "tied-top": top,
+              "tied-top-above-1": 3.0 * top}
+        signed = np.r_[np.zeros(width - 1), -0.0]  # the first and the last of the tied parts differ in sign
+        xis = {"zero": np.zeros(width), "signed-zero": signed, "negated-signed-zero": -signed}
+        for name, v in xs.items():
+            for shape, one in (("vector", v), ("row", v[None])):
+                case = f"ties/{width}/{label}/{name}/{shape}"
+                d.add("solve_t", case, lambda: g.solve_t(ctx, one))
+                d.add("closure", case, lambda: g.closure(ctx, one))
+        for name, v in xis.items():
+            for shape, one in (("vector", v), ("row", v[None])):
+                d.add("exp_map", f"ties/{width}/{label}/{name}/{shape}", lambda: g.exp_map(ctx, one))
 
 
 def format_edges() -> np.ndarray:
@@ -312,6 +346,7 @@ def main(argv: list[str]) -> int:
     d = Digests()
     for width in WIDTHS:
         kernel_cases(gcoda, d, width)
+        tie_cases(gcoda, d, width)
     tangent_verdicts(gcoda, d)
     validation_verdicts(gcoda, d)
     for width in WIDTHS:

@@ -246,8 +246,8 @@ _Table = tuple[np.ndarray, tuple[str, ...] | None]  # rows, and the header's col
 
 
 def _header(line: str) -> tuple[str, ...] | None:
-    """The column names of ``line``, the first non-blank one, if it is a header: not all numbers."""
-    return None if _parse_line(line) is not None else tuple(c.strip() for c in line.split(","))
+    """The column names of ``line``, the first non-blank one, if it is a header: none of its cells is a number."""
+    return None if any(_parse_line(c) for c in line.split(",")) else tuple(c.strip() for c in line.split(","))
 
 
 def _read_text(path: str) -> str:
@@ -271,9 +271,10 @@ def _read_rows(path: str) -> _Table:
     Lines end at newlines only (CRLF and CR read as newlines), so a cell may
     end in other whitespace such as a form feed.  Blank lines are skipped;
     cells are read with Python's ``float()`` grammar.  The header is the
-    first non-blank line, if it is not all numbers.  Errors name the file,
-    and a non-numeric cell its physical line: a non-numeric cell is reported
-    before a ragged row, and a ragged row before a header of the wrong width.
+    first non-blank line, if none of its cells is a number.  Errors name the
+    file, and a non-numeric cell its physical line: a non-numeric cell is
+    reported before a ragged row, and a ragged row before a header of the
+    wrong width.
 
     Two parsers give the same array bit for bit.  numpy's C reader reads the
     file from its path (a copy of the text in a ``StringIO`` takes 4 bytes a

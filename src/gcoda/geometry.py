@@ -280,9 +280,7 @@ def _by_columns(rows: np.ndarray) -> bool:
     parts.  numpy reduces such short rows slowly (``_row_reduce``), and it
     also forms products of per-row and per-part values slowly: at 4000x5,
     ``np.multiply.outer(t, a)`` takes ~46 us against ~25 us for five column
-    products.  A per-row value broadcast over such rows (``w -= wm[:,
-    None]``) takes about as long either way, but numpy 2 buffers it, up to
-    64 KiB per call, and one call per column needs no buffer.
+    products.
     """
     return rows.ndim == 2 and len(rows) >= _ROW_FOLD_MIN and 0 < rows.shape[1] < 8
 
@@ -300,28 +298,20 @@ def _row_reduce(ufunc, rows: np.ndarray) -> np.ndarray:
     +0.0); from 8 on it sums pairwise, so wider rows and short batches keep
     numpy's reduction.
 
-    A single vector of fewer than 8 parts is folded the same way in Python
-    floats, whose arithmetic is numpy's IEEE binary64, and its result is a
+    The sum of a single vector of fewer than 8 parts is folded the same way
+    in Python floats, whose arithmetic is numpy's IEEE binary64, and is a
     Python float: numpy's fixed cost per call is several times a 5-part
-    fold's.  Its max follows ``np.maximum``: a NaN wins, and of two equal
-    parts (0.0 and -0.0) the later.  A sum that is not finite, of a vector
-    or of a folded batch, is numpy's again, with numpy's overflow and
-    invalid-value warnings (``... encountered in reduce``, not ``in add``).
-    The closure solves sum exponentials of at most 1, which cannot
-    overflow, and call :func:`_fold` directly.
+    fold's.  A sum that is not finite, of a vector or of a folded batch, is
+    numpy's again, with numpy's overflow and invalid-value warnings (``...
+    encountered in reduce``, not ``in add``).  The closure solves sum
+    exponentials of at most 1, which cannot overflow, and call
+    :func:`_fold` directly.
     """
-    if rows.ndim == 1 and 0 < rows.size < 8:
-        parts = rows.tolist()
-        if ufunc is np.add:
-            out = 0.0
-            for x in parts:
-                out += x
-            return out if math.isfinite(out) else ufunc.reduce(rows)
-        out = parts[0]
-        for x in parts:
-            if not out > x and out == out:
-                out = x
-        return out
+    if ufunc is np.add and rows.ndim == 1 and 0 < rows.size < 8:
+        out = 0.0
+        for x in rows.tolist():
+            out += x
+        return out if math.isfinite(out) else ufunc.reduce(rows)
     if ufunc is np.maximum or not _by_columns(rows):
         return _fold(ufunc, rows)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -413,23 +403,15 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     are divided by their sums, and they are written over their rows of
     ``logx``, bit for bit what a separate softmax at the returned t gives.
     The unfinished rows are taken on by integer position too.  A batch that
-    ``_row_reduce`` folds (``_by_columns``) forms ``a*t``, ``w - max w``,
-    that division and the start's ``logx / a`` one column at a time, so the
-    start makes no n-by-d quotient.
+    ``_row_reduce`` folds (``_by_columns``) forms ``a*t`` and the start's
+    ``logx / a`` one column at a time, so the start makes no n-by-d
+    quotient.
 
     A single vector runs the same arithmetic in :func:`_newton_vector`, with
     its scalars as Python floats, so it gives the bits of its one-row batch.
     """
     if logx.ndim == 1:
         return _newton_vector(a, logx)
-
-    def per_row(op, rows, v):
-        # op(rows, v[:, None], out=rows), by columns where _row_reduce folds:
-        # numpy 2 buffers a broadcast over short rows, up to 64 KiB per call
-        if not _by_columns(rows):
-            return op(rows, v[:, None], out=rows)
-        for c in rows.T:
-            op(c, v, out=c)
 
     def eval_g(logx, t):
         # One buffer: a*t, then + logx (the same sum as logx + a*t), then
@@ -442,7 +424,7 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
             w = np.multiply.outer(t, a)
         w += logx
         wm = _row_reduce(np.maximum, w)
-        per_row(np.subtract, w, wm)
+        w -= wm[:, None]
         np.exp(w, out=w)
         se = _fold(np.add, w)
         return w, se, np.add(wm, np.log(se), out=wm), (w @ a) / se
@@ -474,7 +456,7 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
         w = w.take(hit, axis=0)
         done, se = rows[hit], se[hit]
         t_out[done] = t[hit]
-        per_row(np.divide, w, se)
+        w /= se[:, None]
         out[done] = w
         if hit.size == t.size:
             return t_out
@@ -493,38 +475,36 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
 def _newton_vector(a: np.ndarray, logx: np.ndarray) -> np.float64:
     """:func:`_newton_logt` for one vector ``logx``.
 
-    Numpy evaluates g over the parts with the batch's operations in the
-    batch's order, and ``_row_reduce`` its max and sum with the batch's
-    bits; t, u, g, g' and the steps are Python floats, whose arithmetic is
-    the same IEEE binary64 as numpy's.  ``np.log`` stays numpy's, which
-    ``math.log`` may differ from in the last bit.  t is returned as a numpy
-    scalar, which broadcasts like the batch's t.
+    numpy evaluates g over the parts with the batch's operations in the
+    batch's order, and ``_row_reduce`` its sum with the batch's bits; the
+    maxima are Python's ``max`` of the parts, and t, u, g, g' and the steps
+    are Python floats, whose arithmetic is the same IEEE binary64 as
+    numpy's.  A max is exact: tied parts differ at most in the sign of
+    zero, which changes no w, g or step, and a NaN part means t is NaN,
+    which ends in :class:`NonConvergence` either way.  ``np.log`` stays
+    numpy's, which ``math.log`` may differ from in the last bit.  t is
+    returned as a numpy scalar, which broadcasts like the batch's t.
     """
-    def eval_g(t):
+    a_max = max(a.tolist())
+    u = -max((logx / a).tolist())
+    t = u if u < 0 else 0.0
+    dt = math.inf
+    for i in range(_MAX_ITER + 1):
         w = a * t
         w += logx
-        wm = _row_reduce(np.maximum, w)
+        wm = max(w.tolist())
         w -= wm
         np.exp(w, out=w)
         se = _row_reduce(np.add, w)
-        return w, se, float(wm + np.log(se)), float((w @ a) / se)
-
-    a_max = float(_row_reduce(np.maximum, a))
-    u = -float(_row_reduce(np.maximum, logx / a))
-    t = u if u < 0 else 0.0
-    w, se, g, gp = eval_g(t)
-    dt = math.inf
-    for i in range(_MAX_ITER + 1):
+        g = float(wm + np.log(se))
         if abs(g) <= _F_TOL or dt <= _T_TOL * (1.0 / a_max + abs(t)):
             np.divide(w, se, out=logx)
             return np.float64(t)
         if i == _MAX_ITER:
             raise NonConvergence(f"1 row(s) did not converge in {_MAX_ITER} iterations")
         # The step first: min returns its first argument when it is NaN.
-        t_new = min(t - g / gp, u)
-        dt = abs(t_new - t)
-        t = t_new
-        w, se, g, gp = eval_g(t)
+        t_new = min(t - g / float((w @ a) / se), u)
+        t, dt = t_new, abs(t_new - t)
 
 
 def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:
@@ -644,9 +624,14 @@ def _lift(ctx: GeometryContext, xi, out: np.ndarray | None = None) -> np.ndarray
 
 def perturb(ctx: GeometryContext, lam, mu) -> np.ndarray:
     """Group operation of the simplex: closure of the componentwise product."""
-    la, mu_ = _pair(as_composition(lam), as_composition(mu))
-    _check_dim(ctx, la)
-    return _closure_logx(ctx, np.log(la) + np.log(mu_))
+    # as_composition returns new arrays, so the logarithms are taken in place
+    # and summed into the operand that holds every row, which sorts first.
+    logx, other = sorted(_pair(as_composition(lam), as_composition(mu)), key=np.ndim, reverse=True)
+    _check_dim(ctx, logx)
+    np.log(logx, out=logx)
+    logx += np.log(other, out=other)
+    del other  # freed before the closure allocates
+    return _closure_logx(ctx, logx)
 
 
 def power(ctx: GeometryContext, c: float, lam) -> np.ndarray:
@@ -661,7 +646,8 @@ def power(ctx: GeometryContext, c: float, lam) -> np.ndarray:
         raise NonPositiveValue(f"scalar c must be finite, got {c}")
     la = as_composition(lam)
     _check_dim(ctx, la)
-    logx = np.log(la)
+    # as_composition returns a new array, so its logarithm is taken in place.
+    logx = np.log(la, out=la)
     # Parts are at most 1, so max|log lam| is -min(log lam).
     _check_exponent(ctx, abs(float(c)) * -float(logx.min(initial=0.0)), "|c| * max|log lam|")
     logx *= c

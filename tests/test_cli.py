@@ -323,6 +323,14 @@ def test_ingest_non_numeric(tmp_path, capsys):
     assert code == 1 and err == f"gcoda: {path}:5: non-numeric cell\n"
 
 
+def test_a_bad_first_row_is_not_taken_for_a_header(tmp_path, capsys):
+    # a first line with a number in it is data, so its bad cell is reported
+    # rather than the row dropped as a header
+    path = write(tmp_path, "first.csv", "0.3,0.7x\n0.5,0.5\n0.4,0.6\n")
+    code, out, err = run_cli(capsys, "mean", "--param", "1,1", "--input", path)
+    assert (code, out, err) == (1, "", f"gcoda: {path}:1: non-numeric cell\n")
+
+
 def test_ingest_negative(tmp_path, capsys):
     path = write(tmp_path, "bad.csv", "0.2,-0.3,1.1\n")
     code, _, err = run_cli(capsys, "log", "--param", "1,1,1", "--input", path)

@@ -33,7 +33,7 @@ def ref_read_rows(path):
             return None
 
     columns = None
-    if parse(lines[0][1]) is None:
+    if not any(parse(c) for c in lines[0][1].split(",")):
         columns = tuple(c.strip() for c in lines[0][1].split(","))
         lines = lines[1:]
         if not lines:

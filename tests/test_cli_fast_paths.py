@@ -143,7 +143,8 @@ def test_plain_files_take_the_c_reader(tmp_path, text, columns, loadtxt_calls):
 def test_other_files_take_the_fallback(tmp_path, text, loadtxt_calls):
     # The C reader refuses these files or finds them empty, or is not tried
     # on a unit separator.  The fallback converts the stripped lines with
-    # float, unless it finds no data line below the header ("0.2,x" is one).
+    # float, unless it finds no data line below the header ("a,b" is one; a
+    # first line with a number in it, such as "0.2,x", is data).
     path = tmp_path / "f.csv"
     path.write_text(text, encoding="utf-8")
     want = outcome(ref_read_rows, path)

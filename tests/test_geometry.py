@@ -291,15 +291,17 @@ def test_closure_accuracy_against_a_decimal_reference(a, spread, row_budget, par
     # 100 rows of len(a) parts, log x uniform in [-spread, spread], against a
     # 50-digit closure.  Errors are in ULP of the row's largest part and of
     # each part; the large per-part errors are in small parts, whose
-    # condition number is about a_i * |t|.
+    # condition number is about a_i * |t|.  Each row is closed in the batch
+    # and alone, through the single-vector solve, within the same budgets.
     ctx = g.make_context(a)
     x = np.exp(np.random.default_rng(spread).uniform(-spread, spread, (100, len(a))))
     row_err = part_err = 0.0
-    for got, row in zip(g.closure(ctx, x), x):
+    for row, *closed in zip(x, g.closure(ctx, x), [g.closure(ctx, row) for row in x]):
         ref = decimal_closure(ctx.a, row)
-        err = [abs(Decimal(float(v)) - r) for v, r in zip(got, ref)]
-        row_err = max(row_err, float(max(err)) / math.ulp(float(max(ref))))
-        part_err = max(part_err, *(float(e) / math.ulp(float(r)) for e, r in zip(err, ref)))
+        for got in closed:
+            err = [abs(Decimal(float(v)) - r) for v, r in zip(got, ref)]
+            row_err = max(row_err, float(max(err)) / math.ulp(float(max(ref))))
+            part_err = max(part_err, *(float(e) / math.ulp(float(r)) for e, r in zip(err, ref)))
     assert row_err <= row_budget and part_err <= part_budget, (row_err, part_err)
 
 
@@ -590,8 +592,8 @@ def test_row_reduce_keeps_numpys_bits(width):
                 assert np.array_equal(np.isnan(got), np.isnan(want)), (n, ufunc)
                 keep = ~(np.isnan(rows[:, 0]) & np.signbit(rows[:, 0])) if ufunc is np.maximum else slice(None)
                 assert got[keep].tobytes() == want[keep].tobytes(), (n, ufunc)
-    # Single vectors, strided ones too: below 8 parts _row_reduce folds them
-    # in Python floats.  They hold ±inf, ±0.0 and NaN parts, and every sign
+    # Single vectors, strided ones too: below 8 parts _row_reduce folds their
+    # sums in Python floats.  They hold ±inf, ±0.0 and NaN parts, and every sign
     # pattern of zeros; a NaN result is compared as NaN.
     v = rng.standard_normal((2000, width)) * np.exp(rng.uniform(-30, 30, (2000, width)))
     spots = rng.random(v.shape) < 0.3
