@@ -21,7 +21,11 @@ bit moved.  The grid:
   NaN, ±inf, ±0, -1, the smallest subnormal or 1.7e308, through every
   public entry point that validates a vector (``validation``);
 - the CLI's CSV text (``rows_csv``) of values over 1e-300 ... 1e300 on the
-  same widths and row counts, and of ``format_edges()``;
+  same widths and row counts, and of ``format_edges()``; also at width 1
+  (the column that JSON output rounds through) and 1000 (``dist``'s 16-row
+  blocks), in batches of at most ``MAX_ROWS`` rows of the widest of the
+  widths above, and of one symmetric 1000x1000 distance matrix with a zero
+  diagonal;
 - the CLI's CSV ingest (``read_rows``) of files on the same widths and row
   counts: plain ones (numpy's reader takes them), ones with a byte order
   mark, CRLF and blank lines, and ones it leaves to the fallback, which
@@ -203,7 +207,7 @@ def format_edges() -> np.ndarray:
 
 def csv_cases(cli, d: Digests, width: int) -> None:
     """``_rows_csv`` text of ``width`` columns: random magnitudes at the block edges, and the edge values."""
-    for n in row_counts(width):
+    for n in (n for n in row_counts(width) if n * width <= MAX_ROWS * WIDTHS[-1]):
         rng = np.random.default_rng([width, n, 12])
         wide = rng.choice([-1.0, 1.0], (n, width)) * 10.0 ** rng.uniform(-300, 300, (n, width))
         near = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-6, 14, (n, width))
@@ -212,6 +216,13 @@ def csv_cases(cli, d: Digests, width: int) -> None:
     edges = format_edges()
     edges = np.resize(edges, (-(-edges.size // width), width))
     d.add("rows_csv", f"{width}/edges", lambda: cli._rows_csv(edges))
+
+
+def distance_matrix_case(cli, d: Digests) -> None:
+    """``_rows_csv`` text of a symmetric 1000x1000 matrix of Euclidean distances, as ``dist`` writes."""
+    points = np.random.default_rng(15).normal(size=(1000, 4))
+    dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+    d.add("rows_csv", "distance-matrix", lambda: cli._rows_csv(dist))
 
 
 # Cells only float() reads, or that no reader takes: each sends a file to the CLI's fallback reader.
@@ -349,8 +360,9 @@ def main(argv: list[str]) -> int:
         tie_cases(gcoda, d, width)
     tangent_verdicts(gcoda, d)
     validation_verdicts(gcoda, d)
-    for width in WIDTHS:
+    for width in (1, *WIDTHS, 1000):
         csv_cases(cli, d, width)
+    distance_matrix_case(cli, d)
     with tempfile.TemporaryDirectory() as root:
         for width in WIDTHS:
             read_cases(cli, d, width, Path(root))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gcoda as g
-from gcoda import geometry
+from gcoda import cli, geometry
 
 UNBLOCKED = 1 << 60
 
@@ -225,3 +225,15 @@ def test_gaussian_density_matches_the_whole_batch_expression(n):
         log_det = 2.0 * np.sum(np.log(np.diag(law.chol)))
         want = np.exp(-0.5 * (np.sum(y * y, axis=-1) + 4 * np.log(2.0 * np.pi) + log_det))
         assert same_bytes(np.asarray(g.gaussian_density(law, x)), want)
+
+
+def test_one_csv_block_working_memory_is_bounded():
+    # One 16x1000 block of the %.12g kernel, as dist writes it: the block's
+    # temporaries, the word buffer the blocks share and the bytes copy of it
+    # that the NULs are deleted from.  It took 2.47 MiB with a new bytearray
+    # per block and 2.96 MiB with the shared buffer and the copy.
+    block = np.random.default_rng(1).uniform(0.0, 3.0, (16, 1000))
+    assert len(list(geometry._row_blocks(*block.shape))) == 1
+    cli._rows_csv(block)  # the kernel's tables are built on first use
+    _, peak = allocation_peak(lambda: cli._rows_csv(block))
+    assert peak <= 2.96 * 2**20
