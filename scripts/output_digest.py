@@ -21,7 +21,9 @@ bit moved.  The grid:
   NaN, ±inf, ±0, -1, the smallest subnormal or 1.7e308, through every
   public entry point that validates a vector (``validation``);
 - the CLI's CSV text (``rows_csv``) of values over 1e-300 ... 1e300 on the
-  same widths and row counts, and of ``format_edges()``; also at width 1
+  same widths and row counts, of arrays whose cells are mostly ``format``'s
+  (signed zeros, and mantissas that round up to the next power of ten), and
+  of ``format_edges()``; also at width 1
   (the column that JSON output rounds through) and 1000 (``dist``'s 16-row
   blocks), in batches of at most ``MAX_ROWS`` rows of the widest of the
   widths above, and of one symmetric 1000x1000 distance matrix with a zero
@@ -211,8 +213,13 @@ def csv_cases(cli, d: Digests, width: int) -> None:
         rng = np.random.default_rng([width, n, 12])
         wide = rng.choice([-1.0, 1.0], (n, width)) * 10.0 ** rng.uniform(-300, 300, (n, width))
         near = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-6, 14, (n, width))
+        # four cells in five are zeros or round up to the next power of ten: format writes them
+        carry = 999999999999.7 * 10.0 ** rng.integers(-300, 297, (n, width))
+        pick = rng.integers(0, 5, (n, width))
+        written = rng.choice([-1.0, 1.0], (n, width)) * np.choose(pick, [0.0, 0.0, carry, carry, np.abs(wide)])
         d.add("rows_csv", f"{width}/{n}/wide", lambda: cli._rows_csv(wide))
         d.add("rows_csv", f"{width}/{n}/near", lambda: cli._rows_csv(near))
+        d.add("rows_csv", f"{width}/{n}/format", lambda: cli._rows_csv(written))
     edges = format_edges()
     edges = np.resize(edges, (-(-edges.size // width), width))
     d.add("rows_csv", f"{width}/edges", lambda: cli._rows_csv(edges))

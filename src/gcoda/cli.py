@@ -109,9 +109,10 @@ def _g12_text(arr: np.ndarray):
     with ``|v|`` in [1e-290, 1e290] takes its mantissa from
     ``m = |v| * 10**(11 - floor(log10|v|))``, within 3.4e-4 of the exact
     product.  ``rint(m)`` is then ``%.12g``'s rounding unless ``m`` lies
-    within 1e-3 of a tie, or outside [1e11, 1e12) because ``log10`` was off
-    by one.  Those cells, and the non-finite ones, are written by
-    ``format``; zeros are written as "0" and "-0".
+    within 1e-3 of a tie, rounds up to 1e12 (the cell rounds to the next
+    power of ten), or lies outside [1e11, 1e12) because ``log10`` was off
+    by one.  Those cells, exact zeros and the non-finite ones are written by
+    ``format``.
 
     Every table is read with ``take``, which gathers a block's words several
     times faster than fancy indexing.  All blocks write their words into one
@@ -128,17 +129,13 @@ def _g12_text(arr: np.ndarray):
     for s in blocks:
         x = arr[s].ravel()
         a = np.abs(x)
-        zero = a == 0.0
         fast = (a >= 1e-290) & (a <= 1e290)
-        a = np.where(fast, a, 1.0)  # zeros and cells for format compute on 1
+        a = np.where(fast, a, 1.0)  # cells for format compute on 1
         exp = np.floor(np.log10(a)).astype(np.intp)
         m = a * pow10.take(_EXP + 11 - exp)
-        slow = ~(fast | zero) | (np.abs(m - np.floor(m) - 0.5) < 1e-3) | (m < 1e11) | (m >= 1e12)
+        slow = ~fast | (np.abs(m - np.floor(m) - 0.5) < 1e-3) | (m < 1e11) | (m >= 999999999999.5)
         m = np.rint(m)
-        carry = m >= 1e12  # 999999999999.5 and up round to 1e12: one more exponent
-        exp += carry
-        m[carry] = 1e11
-        m[zero] = 0.0
+        m[slow] = 0.0  # keeps the table indices of the cells format writes in range
         # The three 4-digit groups of m, exactly: m is an integer below 2**53.
         g = np.empty((x.size, 3))
         g[:, 0] = np.floor(m / 1e8)
@@ -172,8 +169,9 @@ def _rows_csv(arr: np.ndarray) -> str:
     kernel above, which reads every cell's digits, decimal point, exponent
     and separator from lookup tables and then deletes its padding bytes.
     The few cells it cannot round with certainty (within 1e-3 of a rounding
-    tie), non-finite cells and those with ``|v|`` outside [1e-290, 1e290],
-    zeros aside, are written by ``format`` itself.
+    tie), those whose mantissa rounds up to the next power of ten, and
+    non-finite cells, exact zeros and others with ``|v|`` outside [1e-290,
+    1e290] are written by ``format`` itself.
     """
     return "".join(_g12_text(np.atleast_2d(np.asarray(arr, dtype=float)))) or "\n"
 

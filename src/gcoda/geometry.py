@@ -341,10 +341,11 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
     its closed point ``softmax(logx + a*t)``.  General weights take the Newton
     solve.  The closed forms run in place, one ``_row_blocks`` block of rows
     at a time (a single vector is one row), with one ``exp`` per cell: each
-    row is shifted so that its largest term is 1, t comes from the sums of
-    its exponentials, and those exponentials divided by their sum are the
-    closed point.  No exponential overflows, and the largest is exactly 1,
-    so no row's sum is 0 or infinite.
+    row is shifted so that its largest term is 1, and each block sums its
+    rows' terms once, after the quadratic root has scaled the last part.
+    The uniform t reads that sum (the quadratic t reads its root), and the
+    terms divided by it are the closed point.  No exponential overflows, and
+    the largest is exactly 1, so no row's sum is 0 or infinite.
     """
     if fast_path == GENERAL:
         return _newton_logt(a, logx)
@@ -361,16 +362,15 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
         head -= m[:, None]
         last -= p * m
         np.exp(x, out=x)
-        if fast_path == UNIFORM:
-            t[s] = -(m + np.log(_fold(np.add, x))) / a[0]
-        else:
+        if fast_path != UNIFORM:
             s_head = _fold(np.add, head)
             # Rationalized positive root z * e^m of  x_last*z**2 + S*z - 1 = 0 in the shifted terms;
             # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
             z = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * last))
-            t[s] = (np.log(z) - m) / a[0]
             last *= z
-        x /= _fold(np.add, x)[:, None]
+        sums = _fold(np.add, x)
+        t[s] = -(m + np.log(sums)) / a[0] if fast_path == UNIFORM else (np.log(z) - m) / a[0]
+        x /= sums[:, None]
     return t.reshape(logx.shape[:-1])
 
 
@@ -695,13 +695,9 @@ def pairwise_distance(ctx: GeometryContext, rows) -> np.ndarray:
     # of absolute accuracy to cancellation near the diagonal.  Each pair is
     # computed once, for the strict upper triangle, and mirrored: xi[j] - xi[i]
     # is bitwise -(xi[i] - xi[j]), so both orders give the same norm.  The
-    # norm is np.linalg.norm's along axis 1, sqrt(sum(d * d)), with the
-    # differences squared in place in one buffer rather than through a copy.
-    buf = np.empty_like(xi)
+    # norm is np.linalg.norm's along axis 1, sqrt(sum(d * d)).
     for i in range(m - 1):
-        d = np.subtract(xi[i + 1:], xi[i], out=buf[i + 1:])
-        d *= d
-        out[i, i + 1:] = out[i + 1:, i] = np.sqrt(_row_reduce(np.add, d))
+        out[i, i + 1:] = out[i + 1:, i] = _norm(xi[i + 1:] - xi[i])
     return out
 
 

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the package's own code paths: closures
 by plain normalization, log-ratio transforms written directly, the quadratic
 closure exponent as an explicit formula, PCA through numpy.linalg.eigh, and
-a 50-digit closure and Gaussian quadratic form in the standard library's
-``decimal``.
+a 50-digit closure, log map and Gaussian quadratic form in the standard
+library's ``decimal``.
 """
 
 import decimal
@@ -86,6 +86,27 @@ def decimal_closure(a, x, digits=50, log=False):
                 total = sum(terms)
                 return [e / total for e in terms]
         raise ArithmeticError("decimal closure did not converge")
+
+
+def decimal_log_map(a, lam, digits=50):
+    """Log map of one composition ``lam`` under weights ``a``, as ``digits``-digit Decimals.
+
+    ``xi_i = e_i * (ln lam_i - (a_i / s) * sum_j e_j * ln lam_j)``, with the
+    neutral element ``e`` the ``digits``-digit closure of the ones vector and
+    ``s = sum_i a_i * e_i``.  Every float input is taken exactly, and ``lam``
+    is divided by its exact sum first: the map is not invariant to scale, and
+    a float composition sums to 1 only within rounding.
+    """
+    e = decimal_closure(a, np.ones(len(a)), digits)
+    with decimal.localcontext() as dc:
+        dc.prec = digits
+        a = [decimal.Decimal(float(v)) for v in a]
+        s = sum(w * ei for w, ei in zip(a, e))
+        lam = [decimal.Decimal(float(v)) for v in lam]
+        total = sum(lam)
+        logs = [(v / total).ln() for v in lam]
+        mean = sum(ei * lv for ei, lv in zip(e, logs)) / s
+        return [ei * (lv - w * mean) for ei, lv, w in zip(e, logs, a)]
 
 
 def decimal_quadratic_form(chol, dev, digits=50):

@@ -48,6 +48,7 @@ COMMANDS = {
     "perturb": ["perturb", "--input", "{F}/comp5.csv", "--by", "2,1,1,3,1"],
     "power": ["power", "--input", "{F}/comp5.csv", "--c", "0.5"],
     "dist": ["dist", "--input", "{F}/comp5.csv"],
+    "dist-json": ["dist", "--input", "{F}/comp5.csv", "--format", "json"],
     "mean": ["mean", "--input", "{F}/comp5.csv"],
     "pca": ["pca", "--input", "{F}/comp5.csv", "--k", "2"],
     "sub": ["sub", "--input", "{F}/comp5.csv", "--indices", "4,2,5"],

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import warnings
@@ -13,6 +14,7 @@ from gcoda.geometry import _newton_logt
 from _oracles import (
     clr,
     decimal_closure,
+    decimal_log_map,
     normalize,
     quadratic_exponent,
     random_compositions,
@@ -303,6 +305,67 @@ def test_closure_accuracy_against_a_decimal_reference(a, spread, row_budget, par
             row_err = max(row_err, float(max(err)) / math.ulp(float(max(ref))))
             part_err = max(part_err, *(float(e) / math.ulp(float(r)) for e, r in zip(err, ref)))
     assert row_err <= row_budget and part_err <= part_budget, (row_err, part_err)
+
+
+# (weights, spread of log x, log_map budget, distance budget, pairwise_distance
+# budget).  log_map's error is in ULP of the row's largest |xi|, and the
+# distances' errors in ULP of the reference distance.  Each budget is the
+# worst case measured on the test's data, rounded up to a whole ULP.  A change
+# may tighten a budget; it never loosens one.
+METRIC_BUDGETS = [
+    ((1, 1, 1, 1, 1), 5, 3, 4, 3),
+    ((1, 1, 1, 1, 1), 50, 3, 3, 5),
+    ((1, 1, 1, 1, 2), 5, 5, 3, 5),
+    ((1, 1, 1, 1, 2), 50, 3, 2, 4),
+    ((0.5, 1, 1.5, 2, 3), 5, 8, 4, 8),
+    ((0.5, 1, 1.5, 2, 3), 50, 6, 3, 16),
+    # a_2 / s is 160: where the terms of xi_2 cancel, |xi| is far below them.
+    # The float64 formula with the true neutral element is still 310 ULP off.
+    ((1e-3, 1, 1e3), 5, 374, 126, 1272),
+    ((1e-3, 1, 1e3), 50, 88, 232, 1356),
+]
+
+
+def _metric_errors(a, spread):
+    """Worst errors of ``log_map``, ``distance`` and ``pairwise_distance`` against 50-digit references.
+
+    60 compositions each of lam and mu, with log parts uniform in [-spread,
+    spread] before they are divided by their sums.  ``log_map`` and
+    ``distance`` are taken on the batch and on each row alone, and
+    ``pairwise_distance`` on the 60 rows of lam.
+    """
+    ctx = g.make_context(a)
+    x = np.exp(np.random.default_rng([len(a), spread]).uniform(-spread, spread, (2, 60, len(a))))
+    lam, mu = normalize(x)
+    with decimal.localcontext() as dc:
+        dc.prec = 50
+        xi_ref = [decimal_log_map(ctx.a, row) for row in lam]
+        eta_ref = [decimal_log_map(ctx.a, row) for row in mu]
+
+        def dist(u, v):
+            return sum((p - q) * (p - q) for p, q in zip(u, v)).sqrt()
+
+        log_err = 0.0
+        for ref, *got in zip(xi_ref, g.log_map(ctx, lam), [g.log_map(ctx, row) for row in lam]):
+            scale = math.ulp(float(max(abs(r) for r in ref)))
+            for xi in got:
+                log_err = max(log_err, *(float(abs(Decimal(float(v)) - r)) / scale for v, r in zip(xi, ref)))
+        dist_err = 0.0
+        batch, alone = g.distance(ctx, lam, mu), [g.distance(ctx, p, q) for p, q in zip(lam, mu)]
+        for ref, *got in zip(map(dist, xi_ref, eta_ref), batch, alone):
+            dist_err = max(dist_err, *(float(abs(Decimal(float(d)) - ref)) / math.ulp(float(ref)) for d in got))
+        pair_err = 0.0
+        out = g.pairwise_distance(ctx, lam)
+        for i, j in itertools.combinations(range(len(lam)), 2):
+            ref = dist(xi_ref[i], xi_ref[j])
+            pair_err = max(pair_err, float(abs(Decimal(float(out[i, j])) - ref)) / math.ulp(float(ref)))
+    return log_err, dist_err, pair_err
+
+
+@pytest.mark.parametrize("a, spread, log_budget, distance_budget, pairwise_budget", METRIC_BUDGETS)
+def test_log_map_and_distances_against_a_decimal_reference(a, spread, log_budget, distance_budget, pairwise_budget):
+    errors = _metric_errors(a, spread)
+    assert all(e <= b for e, b in zip(errors, (log_budget, distance_budget, pairwise_budget))), errors
 
 
 def test_newton_root_on_bracket_end(monkeypatch):
