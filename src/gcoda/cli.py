@@ -68,7 +68,9 @@ from .stats import (
 #   word 4     scientific notation's "e", exponent sign and 2 or 3 exponent
 #              digits, then the separator: "," or, after a row's last cell, "\n".
 # Deleting the NULs leaves the text of format(v, ".12g").  Every word is read
-# from a table indexed by the cell's digits, exponent and sign.
+# from a table indexed by the cell's digits, exponent and sign.  The cells the
+# tables do not serve are written into words 0-3 one by one: by format, or for
+# JSON as json.dumps writes their 12-digit rounding (_g12_text).
 
 _EXP = 305  # the tables cover exponents -_EXP ... _EXP
 
@@ -102,7 +104,7 @@ def _g12_tables() -> tuple[np.ndarray, ...]:
     return groups.view(np.uint64).ravel(), trailing, keep, point, head, tail, pow10
 
 
-def _g12_text(arr: np.ndarray):
+def _g12_text(arr: np.ndarray, as_json: bool = False):
     """The text of the float64 row-matrix ``arr``, one ``_row_blocks`` block at a time.
 
     Yields the text of each block's rows, one line per row.  A cell ``v``
@@ -113,6 +115,12 @@ def _g12_text(arr: np.ndarray):
     power of ten), or lies outside [1e11, 1e12) because ``log10`` was off
     by one.  Those cells, exact zeros and the non-finite ones are written by
     ``format``.
+
+    With ``as_json``, the text is that of ``json.dumps`` of each cell's
+    12-digit rounding.  The cells ``_json_plain`` refuses (integers, ``[1e12,
+    1e16)``, subnormals, nan and the infinities) join the cells written one by
+    one, as ``json.dumps(float(format(v, ".12g")))``; the rest keep the text
+    of ``%.12g``, which is theirs in JSON too.
 
     Every table is read with ``take``, which gathers a block's words several
     times faster than fancy indexing.  All blocks write their words into one
@@ -134,6 +142,8 @@ def _g12_text(arr: np.ndarray):
         exp = np.floor(np.log10(a)).astype(np.intp)
         m = a * pow10.take(_EXP + 11 - exp)
         slow = ~fast | (np.abs(m - np.floor(m) - 0.5) < 1e-3) | (m < 1e11) | (m >= 999999999999.5)
+        if as_json:
+            slow |= ~_json_plain(x)
         m = np.rint(m)
         m[slow] = 0.0  # keeps the table indices of the cells format writes in range
         # The three 4-digit groups of m, exactly: m is an integer below 2**53.
@@ -156,7 +166,8 @@ def _g12_text(arr: np.ndarray):
         words[:, 4:] = tail.take(np.where(sci & ~slow, 1 + _EXP + exp, 0), axis=0)
         buf = memoryview(words).cast("B")
         for i, v in zip(np.flatnonzero(slow).tolist(), x[slow].tolist()):
-            buf[40 * i:40 * i + 32] = format(v, ".12g").encode().ljust(32, b"\0")  # words 0-3
+            text = json.dumps(float(format(v, ".12g"))) if as_json else format(v, ".12g")
+            buf[40 * i:40 * i + 32] = text.encode().ljust(32, b"\0")  # words 0-3
         words.reshape(-1, len(sep), 5)[:, :, 4:] |= sep
         yield words.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -164,20 +175,20 @@ def _g12_text(arr: np.ndarray):
 def _rows_csv(arr: np.ndarray) -> str:
     """Rows of ``arr`` as comma-separated ``%.12g`` text, one line each.
 
-    The text is byte for byte that of ``format(v, ".12g")`` per cell.  Each
-    block of rows (``_row_blocks``) is written by one pass of the numpy
-    kernel above, which reads every cell's digits, decimal point, exponent
-    and separator from lookup tables and then deletes its padding bytes.
-    The few cells it cannot round with certainty (within 1e-3 of a rounding
-    tie), those whose mantissa rounds up to the next power of ten, and
-    non-finite cells, exact zeros and others with ``|v|`` outside [1e-290,
-    1e290] are written by ``format`` itself.
+    The text is byte for byte that of ``format(v, ".12g")`` per cell, written
+    by ``_g12_text`` one block of rows at a time; its docstring names the
+    cells that ``format`` writes itself.
     """
     return "".join(_g12_text(np.atleast_2d(np.asarray(arr, dtype=float)))) or "\n"
 
 
 def _jsonify(obj):
-    """``obj`` for ``json.dumps``: each float, and each array value as a float64, rounded to 12 digits."""
+    """``obj`` for ``json.dumps``: each float, and each array value as a float64, rounded to 12 digits.
+
+    ``_json`` needs it only for what ``_g12_text`` does not write: empty, 0-d
+    and wider arrays, arrays of other dtypes, scalars, and dicts with a key
+    that is not a string.
+    """
     if isinstance(obj, np.ndarray):
         # Round every value to 12 significant digits in bulk: format, parse back.
         text = _rows_csv(obj.reshape(-1, 1))
@@ -209,10 +220,11 @@ def _json_plain(x: np.ndarray) -> np.ndarray:
 def _json_text(obj) -> str:
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim in (1, 2) and obj.size and _json_plain(obj).all():
-        if obj.ndim == 1:
-            return "[" + _rows_csv(obj.reshape(-1, 1))[:-1].replace("\n", ", ") + "]"
-        return "[[" + _rows_csv(obj)[:-1].replace(",", ", ").replace("\n", "], [") + "]]"
+    if isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim in (1, 2) and obj.size:
+        sep = "], [" if obj.ndim == 2 else ", "
+        pieces = [t.replace(",", ", ").replace("\n", sep) for t in _g12_text(obj.reshape(len(obj), -1), as_json=True)]
+        pieces[-1] = pieces[-1][:-len(sep)]
+        return "".join(["[" * obj.ndim, *pieces, "]" * obj.ndim])
     return json.dumps(_jsonify(obj))
 
 
@@ -220,11 +232,11 @@ def _json(obj) -> str:
     """``json.dumps(_jsonify(obj))`` and a newline: JSON of values rounded to 12 digits.
 
     Every array value is written as a float64, an int or bool array's too.
-    A dict with string keys is written value by value.  A float array of 1 or
-    2 dimensions whose cells pass ``_json_plain`` is written from its
-    ``_rows_csv`` text, cells joined by ", " and rows by "], [", skipping the
-    nested lists ``json.dumps`` would walk.  Any other array or value goes
-    through ``json.dumps``.
+    A dict with string keys is written value by value.  Every non-empty
+    float64 array of 1 or 2 dimensions is written by ``_g12_text`` in its
+    JSON mode, cells joined by ", " and rows by "], [", skipping the nested
+    lists ``json.dumps`` would walk.  Any other array or value goes through
+    ``json.dumps``.
     """
     return _json_text(obj) + "\n"
 

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the package's own code paths: closures
 by plain normalization, log-ratio transforms written directly, the quadratic
 closure exponent as an explicit formula, PCA through numpy.linalg.eigh, and
-a 50-digit closure, log map and Gaussian quadratic form in the standard
-library's ``decimal``.
+a 50-digit closure, log map, exp map, power, perturbation and Gaussian
+quadratic form in the standard library's ``decimal``.
 """
 
 import decimal
@@ -65,7 +65,7 @@ def decimal_closure(a, x, digits=50, log=False):
     Newton on g(t) = ln sum_i x_i e^(a_i t), which is convex and increasing:
     from t = 0 the first step lands at or above the root, and the iterates
     then fall onto it.  Every float input is taken exactly; with ``log``,
-    ``x`` holds the logarithms of the vector.
+    ``x`` holds the logarithms of the vector, as floats or as Decimals.
     """
     with decimal.localcontext() as dc:
         dc.prec = digits
@@ -73,7 +73,7 @@ def decimal_closure(a, x, digits=50, log=False):
         # weights 1e8 apart put a_i * t near 5e9 at spread 50.
         dc.Emax, dc.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
         a = [decimal.Decimal(float(v)) for v in a]
-        logx = [decimal.Decimal(float(v)) if log else decimal.Decimal(float(v)).ln() for v in x]
+        logx = [_exact(v) if log else decimal.Decimal(float(v)).ln() for v in x]
         tol = decimal.Decimal(10) ** (10 - digits)
         t = decimal.Decimal(0)
         for _ in range(200):
@@ -86,6 +86,48 @@ def decimal_closure(a, x, digits=50, log=False):
                 total = sum(terms)
                 return [e / total for e in terms]
         raise ArithmeticError("decimal closure did not converge")
+
+
+def _exact(v):
+    """``v`` as a Decimal: a Decimal as it is, anything else as its float64 value."""
+    return v if isinstance(v, decimal.Decimal) else decimal.Decimal(float(v))
+
+
+def decimal_exp_map(a, xi, digits=50):
+    """Exp map of one tangent vector ``xi`` under weights ``a``, as ``digits``-digit Decimals.
+
+    The closure of the lift ``xi_i / e_i``, with the neutral element ``e``
+    the ``digits``-digit closure of the ones vector; every float input is
+    taken exactly.
+    """
+    e = decimal_closure(a, np.ones(len(a)), digits)
+    with decimal.localcontext() as dc:
+        dc.prec = digits
+        lift = [_exact(v) / ei for v, ei in zip(xi, e)]
+    return decimal_closure(a, lift, digits, log=True)
+
+
+def decimal_power(a, c, lam, digits=50):
+    """``c`` times one composition ``lam`` under weights ``a``: the closure of ``c * ln lam_i``.
+
+    Every float input is taken exactly.  The closure does not depend on the
+    scale of ``lam``, so ``lam`` need not sum to 1.
+    """
+    with decimal.localcontext() as dc:
+        dc.prec = digits
+        logs = [_exact(c) * _exact(v).ln() for v in lam]
+    return decimal_closure(a, logs, digits, log=True)
+
+
+def decimal_perturb(a, lam, mu, digits=50):
+    """``lam`` perturbed by ``mu`` under weights ``a``: the closure of ``ln lam_i + ln mu_i``.
+
+    Every float input is taken exactly, and neither vector need sum to 1.
+    """
+    with decimal.localcontext() as dc:
+        dc.prec = digits
+        logs = [_exact(u).ln() + _exact(v).ln() for u, v in zip(lam, mu)]
+    return decimal_closure(a, logs, digits, log=True)
 
 
 def decimal_log_map(a, lam, digits=50):

@@ -2,11 +2,13 @@
 
 ``_read_rows`` takes the array of ``np.loadtxt`` on the file's path when
 numpy's C reader accepts the file, else that of ``np.loadtxt`` over its
-stripped lines with ``float`` as the converter; ``_json`` writes plain float
-arrays from ``_rows_csv`` text, else through ``json.dumps``.  Whichever path
-a file or a payload takes, the result must be that of the per-cell
-references in ``test_cli_bulk_io``, bit for bit and byte for byte, messages
-included.  A spy on ``np.loadtxt`` shows which path a file took.
+stripped lines with ``float`` as the converter; ``_json`` writes every
+non-empty float64 array of 1 or 2 dimensions with the ``%.12g`` kernel, which
+hands the cells ``_json_plain`` refuses to ``json.dumps`` one by one, and
+everything else through ``json.dumps``.  Whichever path a file, a payload or
+a cell takes, the result must be that of the per-cell references in
+``test_cli_bulk_io``, bit for bit and byte for byte, messages included.  A
+spy on ``np.loadtxt`` shows which path a file took.
 """
 
 import json
@@ -239,3 +241,35 @@ def test_payloads_match_the_reference():
                "by_number": {1: plain[:2]}, "cube": v[:24].reshape(2, 3, 4), "zero_d": np.array(v[8])}
     assert cli._json(payload) == ref_json(payload)
     assert cli._json({}) == ref_json({})
+
+
+def _mixed_cells(rng, n):
+    """``n`` cells, each drawn at random from one of the classes the JSON kernel tells apart."""
+    sign = rng.choice([-1.0, 1.0], n)
+    ints = rng.integers(1, 10**12, n).astype(float)
+    classes = np.stack([
+        sign * 10.0 ** rng.uniform(-300, 300, n),  # plain
+        sign * 0.0,  # exact and signed zeros
+        sign * ints,  # integers below 1e12
+        sign * ints * (1.0 + rng.uniform(-4e-13, 4e-13, n)),  # near-integers such as 2.9999999999996
+        sign * 10.0 ** rng.uniform(12, 16, n),  # [1e12, 1e16): fixed notation in JSON
+        sign * 10.0 ** rng.uniform(16, 308, n),
+        np.full(n, np.nan),
+        sign * np.inf,
+        sign * 10.0 ** rng.uniform(-323.5, -308, n),  # subnormals
+        sign * rng.choice([123456789012.5, 999999999999.5], n),  # rounding ties
+    ])
+    return classes[rng.integers(0, len(classes), n), np.arange(n)]
+
+
+@pytest.mark.parametrize("width", [1, 5, 1000])
+@pytest.mark.parametrize("halves, extra, blocks", [(2, 0, 1), (2, 1, 1), (3, 0, 2)])
+def test_json_of_cells_mixed_within_a_block_matches_the_reference(width, halves, extra, blocks):
+    # one _row_blocks block, one block and a row (the rest joins it), and one
+    # and a half blocks (the rest is a block); every class meets every other
+    # inside a block, in rows, columns and 1-D arrays
+    rows = geometry._BLOCK_CELLS // width * halves // 2 + extra
+    assert len(list(geometry._row_blocks(rows, width))) == blocks
+    arr = _mixed_cells(np.random.default_rng([width, rows]), rows * width).reshape(rows, width)
+    for obj in (arr, arr.ravel(), arr[0], arr[:1], arr[:, 0], arr[:, :1]):
+        assert cli._json(obj) == ref_json(obj)

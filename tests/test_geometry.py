@@ -14,7 +14,10 @@ from gcoda.geometry import _newton_logt
 from _oracles import (
     clr,
     decimal_closure,
+    decimal_exp_map,
     decimal_log_map,
+    decimal_perturb,
+    decimal_power,
     normalize,
     quadratic_exponent,
     random_compositions,
@@ -366,6 +369,77 @@ def _metric_errors(a, spread):
 def test_log_map_and_distances_against_a_decimal_reference(a, spread, log_budget, distance_budget, pairwise_budget):
     errors = _metric_errors(a, spread)
     assert all(e <= b for e, b in zip(errors, (log_budget, distance_budget, pairwise_budget))), errors
+
+
+# (operation, weights, spread, row-scaled budget, per-part budget), in ULP of
+# the row's largest part and of each part, as for the closure above.  The
+# references take every float input exactly, so the float64 logarithms that
+# power and perturb form count against them: under uniform weights at spread
+# 50, the exact closure of power's c * ln lam rounded to float64 is already
+# 17 ULP of the row scale off.  Each budget is the worst case measured on the
+# test's data, rounded up to a whole ULP.  A change may tighten a budget; it
+# never loosens one.
+GROUP_BUDGETS = [
+    ("exp_map", (1, 1, 1, 1, 1), 5, 2, 16),
+    ("exp_map", (1, 1, 1, 1, 1), 50, 4, 230),
+    ("exp_map", (1, 1, 1, 1, 2), 5, 2, 52),
+    ("exp_map", (1, 1, 1, 1, 2), 50, 8, 671),
+    ("exp_map", (0.5, 1, 1.5, 2, 3), 5, 27, 2563),
+    ("exp_map", (0.5, 1, 1.5, 2, 3), 50, 11, 3420),
+    ("power", (1, 1, 1, 1, 1), 5, 6, 23),
+    ("power", (1, 1, 1, 1, 1), 50, 47, 298),
+    ("power", (1, 1, 1, 1, 2), 5, 3, 44),
+    ("power", (1, 1, 1, 1, 2), 50, 3, 428),
+    ("power", (0.5, 1, 1.5, 2, 3), 5, 274, 1052),
+    ("power", (0.5, 1, 1.5, 2, 3), 50, 7, 1235),
+    # a part of 1.9e-85 under weight 1e3: the exact closure of the correctly
+    # rounded float64 logarithms is 218 ULP from it, the library 8.9e6
+    ("power", (1e-3, 1, 1e3), 5, 597, 9551),
+    ("power", (1e-3, 1, 1e3), 50, 580, 8919430),
+    ("perturb", (1, 1, 1, 1, 1), 5, 3, 17),
+    ("perturb", (1, 1, 1, 1, 1), 50, 2, 145),
+    ("perturb", (1, 1, 1, 1, 2), 5, 2, 14),
+    ("perturb", (1, 1, 1, 1, 2), 50, 6, 190),
+    ("perturb", (0.5, 1, 1.5, 2, 3), 5, 17, 340),
+    ("perturb", (0.5, 1, 1.5, 2, 3), 50, 83, 841),
+    ("perturb", (1e-3, 1, 1e3), 5, 135, 267),
+    ("perturb", (1e-3, 1, 1e3), 50, 34, 1810477),
+]
+
+
+def _group_outputs(name, ctx, spread):
+    """``(batch, rows alone, references)`` for each batch that ``name`` takes.
+
+    40 compositions each of lam and mu, with log parts uniform in [-spread,
+    spread] before they are divided by their sums.  ``power`` takes c = 0.3
+    on the first 20 rows of lam and c = -2.5 on the rest.  ``exp_map`` takes
+    ``e_a * v``, v uniform in [-spread, spread], with each row's last part
+    set so that it sums to zero.
+    """
+    rng = np.random.default_rng([len(ctx.a), spread])
+    lam, mu = normalize(np.exp(rng.uniform(-spread, spread, (2, 40, ctx.dim))))
+    if name == "exp_map":
+        xi = ctx.e_a * rng.uniform(-spread, spread, lam.shape)
+        xi[:, -1] = -xi[:, :-1].sum(axis=1)
+        return [(g.exp_map(ctx, xi), [g.exp_map(ctx, r) for r in xi], [decimal_exp_map(ctx.a, r) for r in xi])]
+    if name == "power":
+        return [(g.power(ctx, c, x), [g.power(ctx, c, r) for r in x], [decimal_power(ctx.a, c, r) for r in x])
+                for c, x in ((0.3, lam[:20]), (-2.5, lam[20:]))]
+    return [(g.perturb(ctx, lam, mu), [g.perturb(ctx, p, q) for p, q in zip(lam, mu)],
+             [decimal_perturb(ctx.a, p, q) for p, q in zip(lam, mu)])]
+
+
+@pytest.mark.parametrize("name, a, spread, row_budget, part_budget", GROUP_BUDGETS)
+def test_group_operations_against_a_decimal_reference(name, a, spread, row_budget, part_budget):
+    # each row is taken in the batch and alone, through the single-vector path
+    row_err = part_err = 0.0
+    for batch, alone, refs in _group_outputs(name, g.make_context(a), spread):
+        for ref, *got in zip(refs, batch, alone):
+            for out in got:
+                err = [abs(Decimal(float(v)) - r) for v, r in zip(out, ref)]
+                row_err = max(row_err, float(max(err)) / math.ulp(float(max(ref))))
+                part_err = max(part_err, *(float(e) / math.ulp(float(r)) for e, r in zip(err, ref)))
+    assert row_err <= row_budget and part_err <= part_budget, (row_err, part_err)
 
 
 def test_newton_root_on_bracket_end(monkeypatch):
