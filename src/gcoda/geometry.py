@@ -28,7 +28,6 @@ result of a single vector is a Python ``float`` or ``bool``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -102,9 +101,8 @@ _TANGENT_SUM_TOL = 1e-10
 # in t, and iteration budget.
 _F_TOL, _T_TOL, _MAX_ITER = 1e-13, 1e-14, 200
 
-# Fewest rows of a batch that row-wise kernels work on one column at a time
-# (``_by_columns``): the row reductions of ``_row_reduce`` and the Newton
-# solve's per-part products.
+# Fewest rows of a batch whose row reductions ``_row_reduce`` folds one
+# column at a time (``_by_columns``).
 # Each column costs a numpy call of ~1.5 us.  At about this many rows of 3 to
 # 7 parts, a row max and a row sum cost the same either way; above it the
 # fold wins (2 vCPU VM, numpy 2.4.6).
@@ -274,13 +272,10 @@ def _row_blocks(rows: int, width: int):
 
 
 def _by_columns(rows: np.ndarray) -> bool:
-    """Whether row-wise kernels work on ``rows`` one column at a time.
+    """Whether ``_row_reduce`` folds ``rows`` one column at a time.
 
     That is a row-matrix of at least ``_ROW_FOLD_MIN`` rows and fewer than 8
-    parts.  numpy reduces such short rows slowly (``_row_reduce``), and it
-    also forms products of per-row and per-part values slowly: at 4000x5,
-    ``np.multiply.outer(t, a)`` takes ~46 us against ~25 us for five column
-    products.
+    parts, whose short rows numpy reduces slowly.
     """
     return rows.ndim == 2 and len(rows) >= _ROW_FOLD_MIN and 0 < rows.shape[1] < 8
 
@@ -303,9 +298,10 @@ def _row_reduce(ufunc, rows: np.ndarray) -> np.ndarray:
     Python float: numpy's fixed cost per call is several times a 5-part
     fold's.  A sum that is not finite, of a vector or of a folded batch, is
     numpy's again, with numpy's overflow and invalid-value warnings (``...
-    encountered in reduce``, not ``in add``).  The closure solves sum
+    encountered in reduce``, not ``in add``).  The closed forms sum
     exponentials of at most 1, which cannot overflow, and call
-    :func:`_fold` directly.
+    :func:`_fold` directly; the Newton batch solve reduces its own
+    parts-major batch.
     """
     if ufunc is np.add and rows.ndim == 1 and 0 < rows.size < 8:
         out = 0.0
@@ -402,10 +398,14 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     taken out by integer position and the rest of it is freed; only they
     are divided by their sums, and they are written over their rows of
     ``logx``, bit for bit what a separate softmax at the returned t gives.
-    The unfinished rows are taken on by integer position too.  A batch that
-    ``_row_reduce`` folds (``_by_columns``) forms ``a*t`` and the start's
-    ``logx / a`` one column at a time, so the start makes no n-by-d
-    quotient.
+    The unfinished rows are taken on by integer position too.
+
+    The solve works on one parts-major ``(parts, rows)`` copy of the batch,
+    so that each step is a numpy call along rows of the batch's length:
+    numpy is slow on short rows.  Its row max and, below 8 parts, its row
+    sum reduce over the parts, which sums in index order as numpy sums a
+    short row.  From 8 parts numpy sums a row pairwise, so the sum runs
+    over a row-major copy of the exponential, with numpy's row-sum bits.
 
     A single vector runs the same arithmetic in :func:`_newton_vector`, with
     its scalars as Python floats, so it gives the bits of its one-row batch.
@@ -413,36 +413,26 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
     if logx.ndim == 1:
         return _newton_vector(a, logx)
 
-    def eval_g(logx, t):
-        # One buffer: a*t, then + logx (the same sum as logx + a*t), then
+    def eval_g(lx, t):
+        # One buffer: a*t, then + lx (the same sum as logx + a*t), then
         # exp(w - max w) in place; g goes over max w.
-        if _by_columns(logx):
-            w = np.empty(logx.shape)
-            for c, aj in zip(w.T, a):
-                np.multiply(t, aj, out=c)
-        else:
-            w = np.multiply.outer(t, a)
-        w += logx
-        wm = _row_reduce(np.maximum, w)
-        w -= wm[:, None]
+        w = np.multiply.outer(a, t)
+        w += lx
+        wm = np.maximum.reduce(w, axis=0)
+        w -= wm
         np.exp(w, out=w)
-        se = _fold(np.add, w)
-        return w, se, np.add(wm, np.log(se), out=wm), (w @ a) / se
+        se = np.add.reduce(w, axis=0) if len(a) < 8 else np.add.reduce(w.T.copy(), axis=1)
+        return w, se, np.add(wm, np.log(se), out=wm), (a @ w) / se
 
     a_max = float(a.max())
-    # u = -max(logx / a); a batch that _row_reduce folds takes the quotients
-    # one column at a time, in _row_reduce's order
-    if _by_columns(logx):
-        u = -functools.reduce(np.maximum, (c / aj for c, aj in zip(logx.T, a)))
-    else:
-        u = -_row_reduce(np.maximum, logx / a)
+    lx = logx.T.copy()
+    u = -np.maximum.reduce(lx / a[:, None], axis=0)
     # where, not minimum: a row whose largest log x is 0 starts at +0.0
     t = np.where(u < 0, u, 0.0)
     dt = np.inf
-    # The closed points go to the caller's buffer; the compaction below rebinds logx.
-    out, t_out, rows = logx, t.copy(), np.arange(t.size)
+    t_out, rows = t.copy(), np.arange(t.size)
     for i in range(_MAX_ITER + 1):
-        w, se, g, gp = eval_g(logx, t)
+        w, se, g, gp = eval_g(lx, t)
         # Residual target, or step stagnation at the float64 noise floor
         # (reachable only for inputs with huge log magnitudes).  The floor is
         # relative to |t| plus 1 / max a, one unit of the exponents a * t, so
@@ -453,16 +443,17 @@ def _newton_logt(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
         # are taken by integer position: a 4000x5 take costs ~8 us, a
         # boolean mask ~46 us.
         hit = converged.nonzero()[0]
-        w = w.take(hit, axis=0)
+        w = w.take(hit, axis=1)
         done, se = rows[hit], se[hit]
         t_out[done] = t[hit]
-        w /= se[:, None]
-        out[done] = w
+        w /= se
+        logx[done] = w.T
         if hit.size == t.size:
             return t_out
         if hit.size:
             keep = (~converged).nonzero()[0]
-            rows, logx, t, g, gp, u = (v.take(keep, axis=0) for v in (rows, logx, t, g, gp, u))
+            lx = lx.take(keep, axis=1)
+            rows, t, g, gp, u = (v.take(keep) for v in (rows, t, g, gp, u))
         # Free the finished rows and the positions before the next evaluation allocates.
         w = se = done = hit = keep = None
         if i == _MAX_ITER:

@@ -203,7 +203,7 @@ def test_plain_values_dump_as_their_g12_text():
 def test_json_matches_the_reference(width):
     v = _values()
     arr = v.reshape(-1, width)
-    assert not cli._json_plain(arr).all()  # nan, inf, zeros and subnormals: the fallback
+    assert not cli._json_plain(arr).all()  # nan, inf, zeros and subnormals: slow cells, written one by one
     assert cli._json(arr) == ref_json(arr)
     plain = v[cli._json_plain(v)]
     arr = plain[:plain.size // width * width].reshape(-1, width)
@@ -212,6 +212,8 @@ def test_json_matches_the_reference(width):
     assert cli._json(arr[:, 0]) == ref_json(arr[:, 0])
 
 
+# Each class of cell that _json_plain refuses, alone among plain cells.  Such a
+# slow cell goes through the kernel too, which writes it on its own.
 @pytest.mark.parametrize("value", [3.0, -7.0, 0.9999999999996, 999999999999.5, 0.0, -0.0, 1e12, -5.5e15,
                                    9.999e15, np.nan, np.inf, -np.inf, 5e-324, -2e-310, 1e-320])
 @pytest.mark.parametrize("shape", [(7,), (7, 3)])

@@ -288,6 +288,11 @@ ACCURACY_BUDGETS = [
     ((2, 1, 1, 1, 1), 5, 14, 344),
     ((2, 1, 1, 1, 1), 50, 3, 557),
     ((2, 1, 1, 1, 1), 300, 2, 788),
+    # from 8 parts numpy sums a row pairwise
+    (np.linspace(0.5, 3, 9), 5, 98, 1542),
+    (np.linspace(0.5, 3, 9), 50, 10, 1293),
+    (np.linspace(0.5, 3, 20), 5, 169, 2071),
+    (np.linspace(0.5, 3, 20), 50, 13, 1838),
 ]
 
 
@@ -569,7 +574,8 @@ def closed_ref(ctx, logx):
     return e / e.sum(axis=-1)[..., None]
 
 
-@pytest.mark.parametrize("a", BITWISE_WEIGHTS)
+# 9 and 51 parts: from 8 parts numpy sums a row pairwise
+@pytest.mark.parametrize("a", (*BITWISE_WEIGHTS, np.linspace(0.5, 3, 9), np.linspace(0.5, 3, 51)))
 def test_closures_match_separate_softmax_bitwise(a):
     # the solve's last evaluation gives each row's closed point; it must be
     # bit for bit the softmax at the solved t, in a batch whose rows finish
@@ -622,10 +628,11 @@ def test_closures_match_separate_softmax_bitwise(a):
 @pytest.mark.parametrize("rows", (64, 65, 4000))
 @pytest.mark.parametrize("a", BITWISE_WEIGHTS)
 def test_folded_batch_closures_match_separate_softmax_bitwise(a, rows):
-    # A batch of at least 64 rows and fewer than 8 parts forms a*t, w - max w,
-    # the start u and the row sums one column at a time, and finished rows
-    # leave it by integer positions; its closed points must still be bit for
-    # bit the softmax at the solved t, at log spreads 5, 50, 300 and 700
+    # A batch of at least 64 rows and fewer than 8 parts: _row_reduce folds
+    # its validation sums one column at a time, the Newton solve works on its
+    # parts-major copy, and finished rows leave it by integer positions; its
+    # closed points must still be bit for bit the softmax at the solved t, at
+    # log spreads 5, 50, 300 and 700
     ctx = g.make_context(a)
     rng = np.random.default_rng(48)
     n = ctx.dim
@@ -807,8 +814,10 @@ def test_single_vector_validation_messages(label, n):
 
 def test_row_fold_keeps_the_kernels_bits(monkeypatch):
     # every closure kernel gives the same bits, t included, with the row
-    # fold and with numpy's row reduction in its place; the general inputs
-    # are lib-newton's shapes, and the closed forms run on 5000x5 batches
+    # fold and with numpy's row reduction in its place.  The closed forms
+    # fold their row sums (5000x5 batches); the Newton solve folds nothing
+    # and reduces its parts-major batch itself, so under general weights
+    # (lib-newton's shapes) only the validation sums fold
     rng = np.random.default_rng(91)
     cases = []
     for a in ((0.5, 1.0, 1.5, 2.0, 3.0), (1.0, 2.0, 3.0)):
