@@ -62,26 +62,31 @@ def _pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def oplus(x, y) -> np.ndarray:
     """Componentwise product, the group operation of the positive orthant."""
-    xa, ya = _pair(as_positive(x), as_positive(y))
-    return xa * ya
+    return _in_orthant("componentwise product", np.multiply, *_pair(as_positive(x), as_positive(y)))
 
 
 def odot(c: float, x) -> np.ndarray:
     """Scalar multiplication: raise every component to the power ``c``."""
-    xa = as_positive(x)
-    out = np.exp(c * np.log(xa))
-    if not np.isfinite(out).all():
-        raise NumericalOverflow("componentwise power overflowed")
-    return out
+    return _in_orthant("componentwise power", lambda xa: np.exp(c * np.log(xa)), as_positive(x))
 
 
 def amb_exp(v) -> np.ndarray:
     """Componentwise exponential, mapping coordinates onto the positive orthant."""
-    va = as_free(v)
-    with np.errstate(over="ignore"):
-        out = np.exp(va)
+    return _in_orthant("componentwise exponential", np.exp, as_free(v))
+
+
+def _in_orthant(what: str, f, *args) -> np.ndarray:
+    """``f(*args)``, computed without warnings, if every part is a positive float64.
+
+    A part that overflowed (or is NaN) or underflowed to 0 leaves the open
+    orthant and raises :class:`NumericalOverflow`.
+    """
+    with np.errstate(all="ignore"):
+        out = f(*args)
     if not np.isfinite(out).all():
-        raise NumericalOverflow("componentwise exponential overflowed")
+        raise NumericalOverflow(f"{what} overflowed")
+    if not out.all():
+        raise NumericalOverflow(f"{what} underflowed to 0")
     return out
 
 

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .geometry import (
     GeometryContext,
+    _check_dim,
     _on_simplex,
     _row_blocks,
     as_tangent,
@@ -549,6 +550,7 @@ def _cmd_density(ctx: GeometryContext, args) -> str:
 
 def _cmd_plot(ctx: GeometryContext, args) -> str:
     rows, columns = _ingest_compositions(ctx, args)
+    _check_dim(ctx, rows)
     if rows.shape[1] != 3:
         raise IngestError("plot needs 3-part compositions; subcompose or project first")
     return ternary_svg(rows, columns or ("x1", "x2", "x3"))

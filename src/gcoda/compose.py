@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import GeometryContext, as_composition, closure, make_context
+from .geometry import GeometryContext, _check_dim, as_composition, closure, make_context
 
 __all__ = ["SubSelection", "select", "subcompose", "permute_context"]
 
@@ -58,8 +58,11 @@ def subcompose(ctx: GeometryContext, sel, lam) -> tuple[GeometryContext, np.ndar
     """
     sel = _as_selection(sel)
     sub_ctx = make_context(select(sel, ctx.a))
-    sub = closure(sub_ctx, select(sel, as_composition(lam)))
-    return sub_ctx, sub
+    lam = as_composition(lam)
+    _check_dim(ctx, lam)
+    # the selected parts replace the whole rows, which are freed before the closure
+    lam = select(sel, lam)
+    return sub_ctx, closure(sub_ctx, lam)
 
 
 def permute_context(ctx: GeometryContext, perm) -> GeometryContext:

@@ -179,7 +179,7 @@ def make_context(a) -> GeometryContext:
     _solve_logt(arr, e, fast_path)
     s = float(arr @ e)
 
-    if not (abs(e.sum() - 1.0) <= 1e-12 and s > 0):
+    if not (abs(_row_reduce(np.add, e) - 1.0) <= 1e-12 and s > 0):
         raise NonConvergence("the closure of (1, ..., 1) missed the simplex")
 
     arr.setflags(write=False)
@@ -228,7 +228,7 @@ def as_tangent(xi) -> np.ndarray:
         big = sums > _TANGENT_SUM_TOL
         if big.any():
             mag = arr[big]
-            tol = 64 * np.finfo(float).eps * np.abs(mag, out=mag).sum(axis=-1)
+            tol = 64 * np.finfo(float).eps * _row_reduce(np.add, np.abs(mag, out=mag))
             if (sums[big] > tol).any():
                 raise NotInTangentSpace("components must sum to 0 (within 1e-10)")
     return arr
@@ -280,49 +280,42 @@ def _by_columns(rows: np.ndarray) -> bool:
     return rows.ndim == 2 and len(rows) >= _ROW_FOLD_MIN and 0 < rows.shape[1] < 8
 
 
-def _row_reduce(ufunc, rows: np.ndarray) -> np.ndarray:
+def _row_reduce(ufunc, rows: np.ndarray):
     """``ufunc.reduce(rows, axis=-1)`` for ``np.maximum`` or ``np.add``, with the same bits.
 
-    numpy reduces short rows slowly: the row max of a 4000x5 array takes
-    ~16x as long as folding its five columns together.  So a row-matrix of
-    at least ``_ROW_FOLD_MIN`` rows and fewer than 8 columns is folded one
-    column at a time, in index order.  A max is exact in any order, save
-    that numpy's gives a positive NaN for a row led by a negative one.
-    Below 8 elements numpy sums a row as ``0.0 + x0 + x1 + ...`` in index
-    order, so the fold starts from ``x0 + 0.0`` (a row of -0.0 sums to
-    +0.0); from 8 on it sums pairwise, so wider rows and short batches keep
-    numpy's reduction.
+    This is the one row reduction over parts: the validation sums, norms,
+    inner products, the density's sum of squares, ``equivalent``'s max and
+    the closed forms' maxima and sums go through it.  numpy reduces short
+    rows slowly: the row max of a 4000x5 array takes ~16x as long as folding
+    its five columns together.  So a row-matrix of at least
+    ``_ROW_FOLD_MIN`` rows and fewer than 8 columns is folded one column at
+    a time, in index order.  A max is exact in any order, save that numpy's
+    gives a positive NaN for a row led by a negative one.  Below 8 elements
+    numpy sums a row as ``0.0 + x0 + x1 + ...`` in index order, so the fold
+    starts from ``x0 + 0.0`` (a row of -0.0 sums to +0.0); from 8 on it sums
+    pairwise, so wider rows and short batches keep numpy's reduction.
 
     The sum of a single vector of fewer than 8 parts is folded the same way
     in Python floats, whose arithmetic is numpy's IEEE binary64, and is a
     Python float: numpy's fixed cost per call is several times a 5-part
-    fold's.  A sum that is not finite, of a vector or of a folded batch, is
-    numpy's again, with numpy's overflow and invalid-value warnings (``...
-    encountered in reduce``, not ``in add``).  The closed forms sum
-    exponentials of at most 1, which cannot overflow, and call
-    :func:`_fold` directly; the Newton batch solve reduces its own
-    parts-major batch.
+    fold's.  The fold itself warns of nothing.  A sum that is not finite, of
+    a vector or of a folded batch, is numpy's again, with numpy's overflow
+    and invalid-value warnings (``... encountered in reduce``, not ``in
+    add``); a max, folded or not, warns of nothing, NaN parts included.  The
+    Newton batch solve reduces its own parts-major batch.
     """
     if ufunc is np.add and rows.ndim == 1 and 0 < rows.size < 8:
         out = 0.0
         for x in rows.tolist():
             out += x
         return out if math.isfinite(out) else ufunc.reduce(rows)
-    if ufunc is np.maximum or not _by_columns(rows):
-        return _fold(ufunc, rows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _fold(np.add, rows)
-    return out if np.isfinite(out).all() else np.add.reduce(rows, axis=-1)
-
-
-def _fold(ufunc, rows: np.ndarray) -> np.ndarray:
-    """:func:`_row_reduce` of a batch, with numpy's bits but with ``ufunc``'s warnings where it folds."""
     if not _by_columns(rows):
         return ufunc.reduce(rows, axis=-1)
     out = rows[:, 0] + 0.0 if ufunc is np.add else rows[:, 0].copy()
-    for j in range(1, rows.shape[1]):
-        ufunc(out, rows[:, j], out=out)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, rows.shape[1]):
+            ufunc(out, rows[:, j], out=out)
+    return out if ufunc is np.maximum or np.isfinite(out).all() else ufunc.reduce(rows, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +352,12 @@ def _solve_logt(a: np.ndarray, logx: np.ndarray, fast_path: str) -> np.ndarray:
         last -= p * m
         np.exp(x, out=x)
         if fast_path != UNIFORM:
-            s_head = _fold(np.add, head)
+            s_head = _row_reduce(np.add, head)
             # Rationalized positive root z * e^m of  x_last*z**2 + S*z - 1 = 0 in the shifted terms;
             # stable when x_last is small, unlike (-S + sqrt(S**2 + 4*x_last)) / (2*x_last).
             z = 2.0 / (s_head + np.sqrt(s_head * s_head + 4.0 * last))
             last *= z
-        sums = _fold(np.add, x)
+        sums = _row_reduce(np.add, x)
         t[s] = -(m + np.log(sums)) / a[0] if fast_path == UNIFORM else (np.log(z) - m) / a[0]
         x /= sums[:, None]
     return t.reshape(logx.shape[:-1])
@@ -505,8 +498,8 @@ def _closure_logx(ctx: GeometryContext, logx: np.ndarray) -> np.ndarray:
 
 
 def _item(v):
-    """A 0-d result as a Python scalar; arrays pass through."""
-    return v.item() if np.ndim(v) == 0 else v
+    """A 0-d result as a Python scalar; arrays and Python floats pass through."""
+    return v if type(v) is float or np.ndim(v) else v.item()
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +646,7 @@ def invert(ctx: GeometryContext, lam) -> np.ndarray:
 def inner(ctx: GeometryContext, lam, mu):
     """Inner product: Euclidean dot product of the two log-map images."""
     xi, eta = _pair(log_map(ctx, lam), log_map(ctx, mu))
-    return _item(np.sum(xi * eta, axis=-1))
+    return _item(_row_reduce(np.add, xi * eta))
 
 
 def norm(ctx: GeometryContext, lam):
@@ -698,4 +691,4 @@ def equivalent(ctx: GeometryContext, v, w, tol: float = 1e-10):
     True when their closures agree componentwise within ``tol``.
     """
     cv, cw = _pair(closure(ctx, v), closure(ctx, w))
-    return _item(np.max(np.abs(cv - cw), axis=-1) <= tol)
+    return _item(_row_reduce(np.maximum, np.abs(cv - cw)) <= tol)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import TangentBasis, _tangent, coords, from_coords
 from .errors import DimensionMismatch, NonPositiveValue, NotPositiveDefinite
-from .geometry import GeometryContext, _item, _lift, _row_blocks, exp_map, log_map
+from .geometry import GeometryContext, _item, _lift, _row_blocks, _row_reduce, exp_map, log_map
 
 __all__ = [
     "frechet_mean",
@@ -250,5 +250,5 @@ def gaussian_density(g: SimplexGaussian, lam):
     dev -= g.mean_coords
     y = dev @ g.whiten.T
     del dev
-    quad = np.sum(np.square(y, out=y), axis=-1)
+    quad = _row_reduce(np.add, np.square(y, out=y))
     return _item(np.exp(-0.5 * (quad + g.n_log_2pi + g.log_det)))

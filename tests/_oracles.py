@@ -8,6 +8,7 @@ quadratic form in the standard library's ``decimal``.
 """
 
 import decimal
+import functools
 
 import numpy as np
 
@@ -93,6 +94,12 @@ def _exact(v):
     return v if isinstance(v, decimal.Decimal) else decimal.Decimal(float(v))
 
 
+@functools.cache
+def _decimal_neutral(a, digits):
+    """The ``digits``-digit closure of the ones vector under weights ``a`` (a tuple of floats)."""
+    return tuple(decimal_closure(a, np.ones(len(a)), digits))
+
+
 def decimal_exp_map(a, xi, digits=50):
     """Exp map of one tangent vector ``xi`` under weights ``a``, as ``digits``-digit Decimals.
 
@@ -100,7 +107,7 @@ def decimal_exp_map(a, xi, digits=50):
     the ``digits``-digit closure of the ones vector; every float input is
     taken exactly.
     """
-    e = decimal_closure(a, np.ones(len(a)), digits)
+    e = _decimal_neutral(tuple(map(float, a)), digits)
     with decimal.localcontext() as dc:
         dc.prec = digits
         lift = [_exact(v) / ei for v, ei in zip(xi, e)]
@@ -139,7 +146,7 @@ def decimal_log_map(a, lam, digits=50):
     is divided by its exact sum first: the map is not invariant to scale, and
     a float composition sums to 1 only within rounding.
     """
-    e = decimal_closure(a, np.ones(len(a)), digits)
+    e = _decimal_neutral(tuple(map(float, a)), digits)
     with decimal.localcontext() as dc:
         dc.prec = digits
         a = [decimal.Decimal(float(v)) for v in a]

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +74,25 @@ def test_amb_exp_log_examples():
 def test_amb_exp_overflow_reported():
     with pytest.raises(NumericalOverflow):
         amb_exp([1000.0, 0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: oplus([1e200, 1], [1e200, 1]), "componentwise product overflowed"),
+    (lambda: oplus([1e-200, 1], [1e-200, 1]), "componentwise product underflowed to 0"),
+    (lambda: odot(1e5, [2, 3]), "componentwise power overflowed"),
+    (lambda: odot(-1e5, [2, 3]), "componentwise power underflowed to 0"),
+    (lambda: odot(math.inf, [1, 2]), "componentwise power overflowed"),
+    (lambda: amb_exp([1000.0, 0.0]), "componentwise exponential overflowed"),
+    (lambda: amb_exp([-1e4, 0.0]), "componentwise exponential underflowed to 0"),
+    (lambda: amb_exp(np.array([[0.0, 1.0], [-800.0, 0.0]])), "componentwise exponential underflowed to 0"),
+])
+def test_orthant_maps_stay_in_the_orthant(call, message):
+    # a part that overflows or underflows to 0 leaves the open orthant: an
+    # error, with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match=f"^{message}$"):
+            call()
 
 
 def test_amb_log_rejects_nonpositive():

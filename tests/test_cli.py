@@ -302,6 +302,20 @@ def test_sub_command(tmp_path, capsys):
     assert payload["param"] == [2.0, 1.0]
 
 
+@pytest.mark.parametrize("command, param, data, wanted", [
+    (["sub", "--indices", "1,2"], "1,1,1", "0.1,0.2,0.3,0.4\n", "expected 3 components, got 4"),
+    (["sub", "--indices", "1,2"], "1,1,1,1", "0.2,0.3,0.5\n", "expected 4 components, got 3"),
+    # plot checks the width before it asks for 3 parts
+    (["plot"], "1,2,3,4,5", "0.2,0.3,0.5\n", "expected 5 components, got 3"),
+    (["plot"], "1,1", "0.2,0.3,0.5\n", "expected 2 components, got 3"),
+    (["plot"], "1,1,1", "0.1,0.2,0.3,0.4\n", "expected 3 components, got 4"),
+])
+def test_sub_and_plot_reject_data_of_another_width(tmp_path, capsys, command, param, data, wanted):
+    path = write(tmp_path, "c.csv", data)
+    code, out, err = run_cli(capsys, *command, "--param", param, "--input", path)
+    assert (code, out, err) == (1, "", f"gcoda: {wanted}\n")
+
+
 def test_sub_bad_indices(tmp_path, capsys):
     path = write(tmp_path, "c.csv", "0.2,0.3,0.5\n")
     code, out, err = run_cli(capsys, "sub", "--param", "1,1,1", "--input", path, "--indices", "1,x")

@@ -2,7 +2,8 @@
 
 For every invocation argparse accepts, ``main`` returns 0, 1 or 2, lets no
 exception escape and raises no warning, and it writes nothing to stderr on
-success and one ``gcoda: `` line otherwise.  Option values are written in
+success and one ``gcoda: `` line otherwise.  Data whose width is not the
+weight count never give 0.  Option values are written in
 the ``--opt=VALUE`` form, so a negative value is a value, not an option.
 Weights, cells, ``--mu``, ``--sigma`` scales and ``--c`` span the accepted
 domain and step past its edges; the data files mix numbers with ``float()``-
@@ -107,13 +108,18 @@ def table(draw, width: int, kind: str) -> str:
 
 
 @st.composite
-def invocations(draw) -> tuple[list[str], dict[str, str]]:
-    """An argv whose paths are file names in a directory, and the text of each file."""
+def invocations(draw) -> tuple[list[str], dict[str, str], bool]:
+    """An argv whose paths are file names in a directory, the text of each file, and a width flag.
+
+    The flag is set when no line of the data file has as many cells as there
+    are weights: the data are of another width.
+    """
     command = draw(st.sampled_from(COMMANDS))
     a = draw(weights())
     n = len(a)
     files = {}
     argv = [command]
+    other_width = False
     if draw(st.sampled_from([True, True, True, True, False])):
         argv.append(f"--param={text(a)}")
     else:
@@ -122,9 +128,10 @@ def invocations(draw) -> tuple[list[str], dict[str, str]]:
     if command in DATA:
         kind = {"closure": "positive", "exp": "tangent"}.get(command, "composition")
         kind = mostly(draw, st.just(kind), st.sampled_from(["positive", "composition", "tangent"]))
-        width = n + mostly(draw, st.just(0), st.sampled_from([1, -1]))
+        width = max(n + mostly(draw, st.just(0), st.sampled_from([1, -1])), 1)
         files["in.csv"] = draw(table(3 if command == "plot" and draw(st.booleans()) else width, kind))
         argv.append("--input=in.csv")
+        other_width = all(line.count(",") + 1 != n for line in files["in.csv"].split("\n"))
     if command in CLOSE and draw(st.booleans()):
         argv.append("--close")
     if command in TABLE and draw(st.booleans()):
@@ -148,7 +155,7 @@ def invocations(draw) -> tuple[list[str], dict[str, str]]:
         if draw(st.booleans()):
             argv.append(f"--seed={draw(st.integers(-2**70, 2**70))}")
     if command in LAW:
-        k = n - 1 + mostly(draw, st.just(0), st.sampled_from([1, -1]))
+        k = max(n - 1 + mostly(draw, st.just(0), st.sampled_from([1, -1])), 0)
         if draw(st.booleans()):
             mu = mostly(draw, st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k),
                         st.lists(st.one_of(st.floats(-3.0, 3.0), reals), min_size=k, max_size=k))
@@ -164,14 +171,14 @@ def invocations(draw) -> tuple[list[str], dict[str, str]]:
             argv.append("--sigma=sigma.csv")
     if draw(st.integers(0, 3)) == 0:
         argv.append(f"--output={mostly(draw, st.just('out.txt'), st.sampled_from(['.', 'missing/out.txt']))}")
-    return argv, files
+    return argv, files, other_width
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(invocations())
 def test_every_invocation_has_one_outcome(tmp_path, monkeypatch, invocation):
-    argv, files = invocation
+    argv, files, other_width = invocation
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
         (tmp_path / name).write_text(content, encoding="utf-8", newline="")
@@ -180,6 +187,7 @@ def test_every_invocation_has_one_outcome(tmp_path, monkeypatch, invocation):
         warnings.simplefilter("error")
         code = main(argv)
     assert code in (0, 1, 2)
+    assert not (other_width and code == 0), "data of another width than the weights were accepted"
     message = err.getvalue()
     if code == 0:
         assert message == ""

@@ -43,6 +43,13 @@ def test_subcompose_uniform(ctx1):
     np.testing.assert_allclose(sub_ctx.a, [1, 1])
 
 
+def test_subcompose_rejects_data_of_another_width(ctx1):
+    # the selection fits both widths, but the data are not the geometry's
+    for lam in ([0.1, 0.2, 0.3, 0.4], [[0.5, 0.5], [0.25, 0.75]]):
+        with pytest.raises(g.DimensionMismatch, match=r"^expected 3 components, got \d$"):
+            g.subcompose(ctx1, (1, 2), lam)
+
+
 def test_subcompose_full_selection_is_identity(ctx112):
     lam = np.array([0.3, 0.25, 0.45])
     sub_ctx, sub = g.subcompose(ctx112, (1, 2, 3), lam)

@@ -773,6 +773,90 @@ def test_a_sum_that_is_not_finite_warns_as_numpy_does(n):
     assert [str(w.message) for w in seen] == ["overflow encountered in reduce"]
 
 
+# Shapes that take each branch of _row_reduce: a single vector (None), short
+# batches and batches at and above _ROW_FOLD_MIN, at 3, 5 and 51 parts.
+REDUCE_ROWS = (None, 1, geometry._ROW_FOLD_MIN - 1, geometry._ROW_FOLD_MIN, 4000)
+
+
+def _rows(rng, n, parts, draw):
+    """``draw(rng, (rows, parts))``, or one vector of it when ``n`` is None."""
+    return draw(rng, (1 if n is None else n, parts))[0 if n is None else slice(None)]
+
+
+@pytest.mark.parametrize("parts", [3, 5, 51])
+@pytest.mark.parametrize("n", REDUCE_ROWS)
+def test_inner_and_equivalent_keep_numpys_bits(n, parts):
+    # inner and equivalent reduce through _row_reduce; their results are the
+    # numpy expressions they replace, bit for bit, and a single vector's are
+    # a Python float and bool
+    rng = np.random.default_rng([n or 0, parts])
+    ctx = g.make_context(np.linspace(0.5, 3.0, parts))
+    lam, mu = (_rows(rng, n, parts, lambda r, shape: normalize(np.exp(r.uniform(-20, 20, shape)))) for _ in range(2))
+    got, want = g.inner(ctx, lam, mu), np.sum(g.log_map(ctx, lam) * g.log_map(ctx, mu), axis=-1)
+    assert type(got) is (float if n is None else np.ndarray)
+    assert np.float64(got).tobytes() == want.tobytes()
+    # w is v moved along its class, each part nudged by up to ~1e-10 relative
+    v = np.exp(_rows(rng, n, parts, lambda r, shape: r.uniform(-5, 5, shape)))
+    w = v * np.exp(ctx.a * 0.7) * (1 + _rows(rng, n, parts, lambda r, shape: r.uniform(-1e-10, 1e-10, shape)))
+    gap = np.max(np.abs(g.closure(ctx, v) - g.closure(ctx, w)), axis=-1)
+    for tol in np.quantile(gap, [0.0, 0.3, 0.7, 1.0]):
+        for tol in (tol, np.nextafter(tol, 0.0)):
+            got = g.equivalent(ctx, v, w, tol)
+            assert type(got) is (bool if n is None else np.ndarray)
+            assert np.array_equal(got, gap <= tol)
+
+
+def _off_tangent(x) -> bool:
+    """as_tangent's verdict in numpy's row sums: whether a row of ``x`` sums beyond its tolerance."""
+    sums = np.abs(np.sum(x, axis=-1))
+    return bool(np.any((sums > 1e-10) & (sums > 64 * np.finfo(float).eps * np.sum(np.abs(x), axis=-1))))
+
+
+def _tangent_pair(rng, parts):
+    """Vectors ``(lo, hi)`` of an odd number of parts on either side of :func:`_off_tangent`'s verdict.
+
+    The parts are ``(A_1, -A_1, A_2, -A_2, ..., c)``: numpy's row sum, in
+    index order or pairwise, cancels each pair exactly and gives ``c``.  In
+    ``lo``, ``c`` is the tolerance ``64 * eps * sum |x|`` itself, above
+    1e-10, and in ``hi`` the next float up, so a tolerance one ULP off
+    changes the verdict on one of them.
+    """
+    big = rng.uniform(1e5, 1e9, parts // 2)
+    x = np.append(np.stack([big, -big], axis=1).ravel(), 0.0)
+    x[-1] = 64 * np.finfo(float).eps * np.sum(np.abs(x))
+    while _off_tangent(x):
+        x[-1] = np.nextafter(x[-1], -np.inf)
+    while not _off_tangent(x):
+        lo = x.copy()
+        x[-1] = np.nextafter(x[-1], np.inf)
+    return lo, x
+
+
+@pytest.mark.parametrize("parts", [3, 5, 51])
+@pytest.mark.parametrize("n", REDUCE_ROWS)
+def test_tangent_verdicts_keep_numpys_bits(n, parts):
+    # as_tangent's tolerance sums |x| through _row_reduce; at the edge of
+    # numpy's verdict, a batch of rows just inside passes and the same batch
+    # with one row just outside fails
+    rng = np.random.default_rng([n or 0, parts, 1])
+    pairs = [_tangent_pair(rng, parts) for _ in range(8)]
+    for k, (lo, hi) in enumerate(pairs):
+        if n is None:
+            inside, outside = lo, hi
+        else:
+            inside = np.array([pairs[i % len(pairs)][0] for i in range(n)])
+            outside = inside.copy()
+            outside[(k * 37) % n] = hi
+        for x, off in ((inside, False), (outside, True)):
+            assert _off_tangent(x) is off
+            try:
+                g.as_tangent(x)
+            except g.NotInTangentSpace:
+                assert off
+            else:
+                assert not off
+
+
 FINITE = (g.NonPositiveValue, "components must be finite")
 POSITIVE = (g.NonPositiveValue, "components must be strictly positive")
 TANGENT_SUM = (g.NotInTangentSpace, "components must sum to 0 (within 1e-10)")
@@ -814,7 +898,8 @@ def test_single_vector_validation_messages(label, n):
 
 def test_row_fold_keeps_the_kernels_bits(monkeypatch):
     # every closure kernel gives the same bits, t included, with the row
-    # fold and with numpy's row reduction in its place.  The closed forms
+    # fold and with it switched off (_ROW_FOLD_MIN beyond any batch), so
+    # that _row_reduce is numpy's row reduction throughout.  The closed forms
     # fold their row sums (5000x5 batches); the Newton solve folds nothing
     # and reduces its parts-major batch itself, so under general weights
     # (lib-newton's shapes) only the validation sums fold
@@ -848,7 +933,7 @@ def test_row_fold_keeps_the_kernels_bits(monkeypatch):
         return out
 
     folded = outputs()
-    monkeypatch.setattr(geometry, "_fold", lambda ufunc, rows: ufunc.reduce(rows, axis=-1))
+    monkeypatch.setattr(geometry, "_ROW_FOLD_MIN", 1 << 60)
     assert outputs() == folded
 
 

@@ -1,4 +1,5 @@
 import decimal
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from scipy.integrate import quad
 
 import gcoda as g
 from gcoda.stats import _eigh_descending
-from _oracles import decimal_quadratic_form, normal_density, normalize, random_compositions, random_weights
+from _oracles import (decimal_exp_map, decimal_log_map, decimal_quadratic_form, normal_density, normalize,
+                      random_compositions, random_weights)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,46 @@ def test_mean_minimizes_sum_of_squares(ctx112, basis3):
         cand = g.perturb(ctx112, mean, g.from_coords(ctx112, basis3, eps))
         f_cand = np.sum(g.pairwise_distance(ctx112, np.vstack([cand, rows]))[0, 1:] ** 2)
         assert f_mean <= f_cand
+
+
+# (weights, budget): frechet_mean's worst error against a 60-digit
+# reference, in ULP of the reference's largest part, over 20 means of 50
+# Dirichlet(0.7) rows each.  The reference is the exp map of the mean of the
+# rows' log maps, all in decimal.  Each budget is the worst case measured on
+# the test's data, rounded up to a whole ULP.  A change may tighten a budget;
+# it never loosens one.
+MEAN_BUDGETS = [
+    ((1, 1, 1, 1, 1), 2),
+    ((1, 1, 1, 1, 2), 4),
+    ((0.5, 1, 1.5, 2, 3), 8),
+    ((1, 2, 3), 4),
+]
+
+
+@pytest.mark.parametrize("a, budget", MEAN_BUDGETS)
+def test_mean_against_a_decimal_reference(a, budget):
+    ctx, digits = g.make_context(a), 60
+    rng = np.random.default_rng([len(a), 64])
+    worst = 0.0
+    for _ in range(20):
+        lam = rng.dirichlet(np.full(len(a), 0.7), 50)
+        xis = [decimal_log_map(a, row, digits) for row in lam]
+        with decimal.localcontext() as dc:
+            dc.prec = digits
+            mean = [sum(parts) / len(xis) for parts in zip(*xis)]
+        ref = decimal_exp_map(a, mean, digits)
+        err = max(abs(decimal.Decimal(float(v)) - r) for v, r in zip(g.frechet_mean(ctx, lam), ref))
+        worst = max(worst, float(err) / math.ulp(float(max(ref))))
+    assert worst <= budget, worst
+
+
+def test_mean_under_far_apart_weights_needs_the_neutral_elements_parts():
+    # e_a = (0.9948, 0.0052, 0.0): the chart's lift through e_a divides by a
+    # part that is zero at float64 precision
+    ctx = g.make_context([1e-3, 1, 1e3])
+    lam = np.random.default_rng(65).dirichlet(np.full(3, 0.7), 50)
+    with pytest.raises(g.ZeroComponent, match="part 3 of the neutral element is zero"):
+        g.frechet_mean(ctx, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +416,26 @@ def test_density_whitens_with_one_product(ctx112, basis3, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", refuse)
     assert g.gaussian_density(law, lam).tobytes() == want[0].tobytes()
     assert g.gaussian_density(law, lam[0]) == want[1]
+
+
+@pytest.mark.parametrize("parts", [3, 5, 51])
+@pytest.mark.parametrize("n", [None, 1, 63, 64, 4000])
+def test_density_keeps_numpys_row_sums(n, parts):
+    # the density's sum of squares goes through _row_reduce, which folds a
+    # batch of 64 or more rows of fewer than 8 coordinates and sums a short
+    # vector in Python floats; its bits are numpy's row sum's, and a single
+    # vector's density is a Python float
+    rng = np.random.default_rng([n or 0, parts])
+    ctx, basis = g.make_context(np.ones(parts)), g.helmert_basis(parts)
+    b = rng.standard_normal((parts - 1, parts - 1))
+    law = g.make_gaussian(ctx, basis, rng.uniform(-1, 1, parts - 1), b @ b.T + 0.5 * np.eye(parts - 1))
+    z = rng.uniform(-3, 3, (1 if n is None else n, parts - 1))[0 if n is None else slice(None)]
+    lam = g.from_coords(ctx, basis, z)
+    y = (g.coords(ctx, basis, lam) - law.mean_coords) @ law.whiten.T
+    want = np.exp(-0.5 * (np.sum(y * y, axis=-1) + law.n_log_2pi + law.log_det))
+    got = g.gaussian_density(law, lam)
+    assert type(got) is (float if n is None else np.ndarray)
+    assert np.float64(got).tobytes() == want.tobytes()
 
 
 # Worst relative error of gaussian_density against a 50-digit density, per
