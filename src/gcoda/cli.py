@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import re
 import sys
@@ -23,8 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .ambient import as_positive
-from .basis import helmert_basis
-from .compose import SubSelection, subcompose
 from .errors import (
     GcodaError,
     IngestError,
@@ -46,14 +43,6 @@ from .geometry import (
     pairwise_distance,
     perturb,
     power,
-)
-from .stats import (
-    RandomSource,
-    frechet_mean,
-    gaussian_density,
-    gaussian_sample,
-    make_gaussian,
-    pca,
 )
 
 
@@ -128,6 +117,8 @@ def _g12_text(arr: np.ndarray, as_json: bool = False):
     buffer, and the NULs are deleted from a ``bytes`` copy of it:
     ``bytes.translate`` deletes them faster than ``bytearray.translate``.
     """
+    if as_json:
+        import json  # only JSON output loads json
     groups, trailing, keep, point, head, tail, pow10 = _g12_tables()
     sep = _packed([b"\0" * 5 + b","] * (arr.shape[1] - 1) + [b"\0" * 5 + b"\n"])
     blocks = list(_row_blocks(*arr.shape))
@@ -219,6 +210,8 @@ def _json_plain(x: np.ndarray) -> np.ndarray:
 
 
 def _json_text(obj) -> str:
+    import json
+
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim in (1, 2) and obj.size:
@@ -436,6 +429,9 @@ def ternary_svg(rows: np.ndarray, labels: tuple[str, str, str]) -> str:
 # Commands: each returns the text the CLI writes.
 
 def _law_from_args(ctx: GeometryContext, args):
+    from .basis import helmert_basis
+    from .stats import make_gaussian
+
     n = ctx.dim - 1
     mu = _parse_vector(args.mu, "--mu") if args.mu else np.zeros(n)
     if args.sigma:
@@ -489,11 +485,16 @@ def _cmd_dist(ctx: GeometryContext, args) -> str:
 
 
 def _cmd_mean(ctx: GeometryContext, args) -> str:
+    from .stats import frechet_mean
+
     rows, _ = _ingest_compositions(ctx, args)
     return _table(args, _no_zero_part(frechet_mean(ctx, rows), f"{args.input}: mean row", "is"))
 
 
 def _cmd_pca(ctx: GeometryContext, args) -> str:
+    from .basis import helmert_basis
+    from .stats import pca
+
     if args.format == "csv":
         raise IngestError("pca output is structured; use --format json")
     rows, _ = _ingest_compositions(ctx, args)
@@ -510,6 +511,8 @@ def _cmd_pca(ctx: GeometryContext, args) -> str:
 
 
 def _cmd_sub(ctx: GeometryContext, args) -> str:
+    from .compose import SubSelection, subcompose
+
     try:
         indices = tuple(int(i) for i in args.indices.split(","))
     except ValueError:
@@ -523,6 +526,8 @@ def _cmd_sub(ctx: GeometryContext, args) -> str:
 
 
 def _cmd_sample(ctx: GeometryContext, args) -> str:
+    from .stats import RandomSource, gaussian_sample
+
     law = _law_from_args(ctx, args)
     # A mean near float64's limit overflows the draws' tangent vectors (not
     # finite) or their lift (too large to close): one numerical failure.
@@ -536,6 +541,8 @@ def _cmd_sample(ctx: GeometryContext, args) -> str:
 
 
 def _cmd_density(ctx: GeometryContext, args) -> str:
+    from .stats import gaussian_density
+
     law = _law_from_args(ctx, args)
     rows, _ = _ingest_compositions(ctx, args)
     # A row far beyond the law overflows its whitened deviation or its

@@ -302,7 +302,8 @@ def _row_reduce(ufunc, rows: np.ndarray):
     a vector or of a folded batch, is numpy's again, with numpy's overflow
     and invalid-value warnings (``... encountered in reduce``, not ``in
     add``); a max, folded or not, warns of nothing, NaN parts included.  The
-    Newton batch solve reduces its own parts-major batch.
+    Newton batch solve, and ``pairwise_distance`` below 8 parts, reduce their
+    own parts-major arrays.
     """
     if ufunc is np.add and rows.ndim == 1 and 0 < rows.size < 8:
         out = 0.0
@@ -669,17 +670,29 @@ def _norm(v: np.ndarray):
 def pairwise_distance(ctx: GeometryContext, rows) -> np.ndarray:
     """Full m-by-m distance matrix of a row-matrix of compositions.
 
-    The matrix is exactly symmetric with an exactly zero diagonal: each of the
-    m(m-1)/2 distances is computed once and written to both of its entries.
+    The matrix is exactly symmetric with an exactly zero diagonal: the
+    distances of a pair in either order have the same bits.
     """
     xi = log_map(ctx, rows).reshape(-1, ctx.dim)
     m = xi.shape[0]
     out = np.zeros((m, m))
-    # Direct differencing row by row; the Gram-matrix shortcut loses ~1e-8
-    # of absolute accuracy to cancellation near the diagonal.  Each pair is
-    # computed once, for the strict upper triangle, and mirrored: xi[j] - xi[i]
-    # is bitwise -(xi[i] - xi[j]), so both orders give the same norm.  The
-    # norm is np.linalg.norm's along axis 1, sqrt(sum(d * d)).
+    # Direct differencing; the Gram-matrix shortcut loses ~1e-8 of absolute
+    # accuracy to cancellation near the diagonal.  xi[j] - xi[i] is bitwise
+    # -(xi[i] - xi[j]), so both orders give the same norm, np.linalg.norm's
+    # along axis 1: sqrt(sum(d * d)), summed in index order below 8 parts.
+    if ctx.dim < 8:
+        # Full rows, one _row_blocks block and one part at a time: a few numpy
+        # calls per block instead of per row.
+        cols = xi.T.copy()
+        for s in _row_blocks(m, max(m, 1)):
+            sq = out[s]
+            for c in cols:
+                d = c[s, None] - c
+                sq += np.multiply(d, d, out=d)
+            np.sqrt(sq, out=sq)
+        return out
+    # From 8 parts numpy sums pairwise: each pair's distance is computed once
+    # by _norm, for the strict upper triangle, and mirrored.
     for i in range(m - 1):
         out[i, i + 1:] = out[i + 1:, i] = _norm(xi[i + 1:] - xi[i])
     return out

@@ -1404,6 +1404,25 @@ def test_pairwise_distance_is_symmetric_and_matches_distance(width, m):
         np.testing.assert_allclose(M[i], g.distance(ctx, lam, lam[i]), rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("width", range(2, 8))
+def test_pairwise_distance_by_parts_keeps_numpys_row_bits(width):
+    # Below 8 parts the matrix is formed one row block and one part at a time.
+    # Each row keeps the bits of numpy's norm of that row's differences, on
+    # one block (128 rows), one block + 1 and several blocks (200, 300 rows).
+    rng = np.random.default_rng(width)
+    ctx = g.make_context(random_weights(rng, width))
+    for m in (0, 1, 2, 63, 64, 65, 127, 128, 129, 200, 300):
+        lam = random_compositions(rng, m, width) if m else np.empty((0, width))
+        xi = g.log_map(ctx, lam)
+        ref = np.empty((m, m))
+        for i in range(m):
+            d = xi - xi[i]
+            ref[i] = np.sqrt(np.add.reduce(d * d, axis=-1))
+        M = g.pairwise_distance(ctx, lam)
+        assert M.shape == (m, m)
+        assert np.array_equal(M.view(np.uint64), ref.view(np.uint64)), m
+
+
 # ---------------------------------------------------------------------------
 # Scale-equivalence classes
 
